@@ -1,7 +1,8 @@
 """R007 — schema round-trip contracts for versioned JSON emitters.
 
-Nine modules emit documents stamped ``"schema_version": <CONST>`` (bench
-results, telemetry headers, flight-recorder manifests, SLO specs, ...).
+Several modules emit documents stamped ``"schema_version": <CONST>``
+(explain and profile reports, telemetry headers, flight-recorder
+manifests, SLO specs, diff reports, ...).
 A stamped writer with no checked reader is write-only versioning: the
 version bump that was supposed to protect consumers protects nobody,
 and field renames drift silently until a replay bundle fails to load

@@ -620,7 +620,7 @@ class SSDKeeper:
                     )
             else:
                 strategy, fallback_reason = self._decide(
-                    sim, features, window, last_good=last_good
+                    sim, features, window, last_good
                 )
                 if fallback_reason is None:
                     last_good = strategy

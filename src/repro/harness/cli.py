@@ -14,15 +14,12 @@ Usage::
     python -m repro stats --openmetrics metrics.om --flight-dir flight/
     python -m repro faults --read-ber 0.02 --program-fail-rate 0.001
     python -m repro lint src/repro/ssd --select R001,R004 --json
-    python -m repro bench --quick --baseline benchmarks/baseline.json
     python -m repro explain --scenario gc_heavy --sanitize
     python -m repro profile --scenario gc_heavy --top 25
     python -m repro drift --scenario migrating_hotspot --sanitize
     python -m repro drift --scenario phase_change --poison --json
     python -m repro fleet --devices 3 --tenants 6 --seed 7
     python -m repro fleet --quick --slo-tight --out fleet_report.json
-    python -m repro bench --trajectory
-    python -m repro diff bench BENCH_A.json BENCH_B.json
     python -m repro diff run --scenario gc_heavy --scale bus_bandwidth=0.5
     python -m repro diff critpath explain_a.json explain_b.json --out d.json
 
@@ -40,11 +37,10 @@ the runtime :class:`~repro.analysis.Sanitizer` to the ``stats`` /
 pass).  ``lint`` runs the repro domain lints — per-file R001-R004 plus the
 whole-program rules R005-R007 (seed provenance, pool safety, schema
 round-trip) — and forwards its arguments to ``python -m repro.analysis``
-(``--json`` / ``--sarif`` / ``--changed`` / ``--baseline`` included).  ``bench`` runs the fixed
-benchmark suite (:mod:`repro.harness.bench`) and, with ``--baseline``,
-exits nonzero when a metric regresses past ``--max-regression``.
-``explain`` reconstructs the run-level critical path of a seeded bench
-scenario and sweeps exact counterfactuals (:mod:`repro.harness.explain`);
+(``--json`` / ``--sarif`` / ``--changed`` / ``--baseline`` included).
+``explain`` reconstructs the run-level critical path of a seeded
+scenario (:mod:`repro.harness.scenarios`) and sweeps exact
+counterfactuals (:mod:`repro.harness.explain`);
 ``profile`` cProfiles a scenario's host hot paths
 (:mod:`repro.harness.hostprofile`).  ``drift`` plays an adversarial
 tenant scenario through the hardened adaptive keeper and the one-shot
@@ -56,9 +52,11 @@ observability plane (:mod:`repro.harness.fleetlab`): federated metric
 rollups, ``tenant_migration`` trace spans, fleet-level SLO burn-rate
 alerting, and a deterministic schema-versioned ``fleet_report.json``.
 ``diff`` is the differential forensics layer over all of the above
-(:mod:`repro.harness.difflab`): compare two bench documents, re-simulate
-a scenario under two configs to localize the first divergent trace
-event, or rank the critical-path resource shifts between two runs.
+(:mod:`repro.harness.difflab`): re-simulate a scenario under two
+configs to localize the first divergent trace event, or rank the
+critical-path resource shifts between two runs.  The host-speed
+benchmark of record is ``python3 perfbench/run.py`` (see
+``perfbench/README.md``), not a subcommand.
 """
 
 from __future__ import annotations
@@ -400,11 +398,6 @@ def main(argv: list[str] | None = None) -> int:
         from ..analysis.__main__ import main as lint_main
 
         return lint_main(argv[1:])
-    if argv and argv[0] == "bench":
-        # same pattern: the bench suite owns its own argument surface
-        from .bench import main as bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "explain":
         from .explain import main as explain_main
 
@@ -436,13 +429,12 @@ def main(argv: list[str] | None = None) -> int:
         "'stats' runs one instrumented simulation and reports its metrics; "
         "'faults' is the same run under the seeded NAND fault model; "
         "'repro lint [paths]' runs the domain lints R001-R007; "
-        "'repro bench' runs the benchmark suite with regression tracking; "
         "'repro explain' reconstructs a scenario's critical path and sweeps "
         "exact counterfactuals; 'repro profile' cProfiles its host hot paths; "
         "'repro drift' runs the adaptive keeper against adversarial tenant "
         "scenarios; 'repro fleet' runs a seeded multi-device scenario with "
         "fleet-level observability rollups; 'repro diff' compares two "
-        "runs/bench reports and localizes the first divergence)",
+        "runs or reports and localizes the first divergence)",
     )
     parser.add_argument(
         "--scale",

@@ -4,9 +4,6 @@ Front-end for :mod:`repro.obs.diff`: every mode compares two artifacts
 of the same kind and emits one schema-versioned, byte-deterministic
 ``diff_report.json`` (plus a human summary).  Modes:
 
-* ``repro diff bench A.json B.json`` — per-scenario metric deltas
-  between two saved bench documents, classified against the bench
-  suite's noise model, with the attribution-delta waterfall;
 * ``repro diff run --scenario NAME [--scale KNOB=FACTOR ...]`` —
   re-simulate one seeded scenario, side B under scaled knobs, and
   localize the first divergent trace event; no ``--scale`` is the
@@ -24,7 +21,7 @@ Exit codes follow the harness contract: **0** clean (identical, or no
 regressions for the artifact kinds where benign deltas are expected),
 **1** localized divergence/regression, **2** usage error.  ``run`` and
 ``trace`` diffs are determinism assertions, so *any* divergence exits 1;
-``bench`` / ``critpath`` / ``fleet`` diffs exit 1 only on regressions.
+``critpath`` / ``fleet`` diffs exit 1 only on regressions.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 __all__ = ["main"]
 
@@ -111,25 +107,6 @@ def _render(report: dict) -> str:
         )
     lines = [head]
     sections = report["sections"]
-    bench = sections.get("bench")
-    if bench is not None:
-        for name, entry in bench["scenarios"].items():
-            cells = _format_metric_cells(entry["metrics"], indent="    ")
-            if not cells:
-                continue
-            lines.append(f"  {name}:")
-            lines.extend(cells)
-            waterfall = entry.get("waterfall")
-            if waterfall and waterfall[0]["delta_us"]:
-                top = waterfall[0]
-                lines.append(
-                    f"    waterfall: {top['phase']} moved "
-                    f"{top['delta_us']:+.1f}us ({top['share']:.0%} of shift)"
-                )
-        for side, names in (("a", bench["only_in_a"]),
-                            ("b", bench["only_in_b"])):
-            if names:
-                lines.append(f"  only in {side}: {', '.join(names)}")
     metrics = sections.get("metrics")
     if metrics is not None:
         lines.extend(_format_metric_cells(metrics["metrics"]))
@@ -185,34 +162,13 @@ def _render(report: dict) -> str:
 # ----------------------------------------------------------------------
 # Mode runners (each returns the full diff report document)
 # ----------------------------------------------------------------------
-def _run_bench(args) -> dict:
-    from ..obs.diff import build_diff_report, diff_bench_docs
-
-    doc_a = _load_json(args.a, what="bench document")
-    doc_b = _load_json(args.b, what="bench document")
-    section = diff_bench_docs(
-        doc_a, doc_b, wall_tolerance_pct=args.wall_tolerance
-    )
-    return build_diff_report("bench", args.a, args.b, {"bench": section})
-
-
 def _run_run(args) -> dict:
     from ..obs.diff import diff_run
-    from .bench import _FULL_REQUESTS, _QUICK_REQUESTS, SCENARIOS
+    from .scenarios import load_scenario
 
-    builder = SCENARIOS.get(args.scenario)
-    if builder is None:
-        raise ValueError(
-            f"unknown scenario {args.scenario!r}; available: "
-            f"{', '.join(SCENARIOS)}"
-        )
-    total = _QUICK_REQUESTS if args.quick else _FULL_REQUESTS
-    kind, requests, cfg, sets, faults = builder(total)
-    if kind != "simulator":
-        raise ValueError(
-            f"scenario {args.scenario!r} runs the {kind} backend, which "
-            "records no trace; run diff needs an event-driven scenario"
-        )
+    _, requests, cfg, sets, faults = load_scenario(
+        args.scenario, quick=args.quick, event_driven=True
+    )
     cfg_b = cfg
     label_b = args.scenario
     for spec in args.scale:
@@ -282,8 +238,8 @@ def main(argv: list[str] | None = None) -> int:
     """``repro diff`` entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(
         prog="repro diff",
-        description="Compare two runs, bench reports, traces, critical "
-        "paths, or fleet devices; localize what diverged first.",
+        description="Compare two runs, traces, critical paths, or fleet "
+        "devices; localize what diverged first.",
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -299,21 +255,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     modes = parser.add_subparsers(dest="mode", metavar="MODE")
 
-    p_bench = modes.add_parser(
-        "bench", parents=[common],
-        help="diff two saved BENCH_*.json documents",
-    )
-    p_bench.add_argument("a", help="baseline bench document")
-    p_bench.add_argument("b", help="candidate bench document")
-    p_bench.add_argument(
-        "--wall-tolerance",
-        type=float,
-        default=10.0,
-        metavar="PCT",
-        help="wall-clock slack before a delta counts (default 10%%); "
-        "simulated metrics always use 0",
-    )
-
     p_run = modes.add_parser(
         "run", parents=[common],
         help="re-simulate a seeded scenario under two configs and "
@@ -323,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
         "--scenario",
         default="mix2_shared",
         metavar="NAME",
-        help="bench scenario to re-simulate (default mix2_shared); "
+        help="scenario to re-simulate (default mix2_shared); "
         "event-driven scenarios only",
     )
     p_run.add_argument(
@@ -370,10 +311,9 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     if args.mode is None:
-        parser.error("a mode is required (bench, run, trace, critpath, fleet)")
+        parser.error("a mode is required (run, trace, critpath, fleet)")
 
     runners = {
-        "bench": _run_bench,
         "run": _run_run,
         "trace": _run_trace,
         "critpath": _run_critpath,

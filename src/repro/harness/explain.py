@@ -1,7 +1,7 @@
 """``repro explain`` — causal bottleneck explanation for one scenario.
 
-Runs one seeded bench scenario (:data:`repro.harness.bench.SCENARIOS`)
-with latency attribution armed, then answers the two questions the raw
+Runs one seeded scenario (:mod:`repro.harness.scenarios`) with latency
+attribution armed, then answers the two questions the raw
 metrics cannot:
 
 * **which resource bounds the run** — the critical-path extractor
@@ -87,28 +87,23 @@ def explain_scenario(
     tolerance_us: float = 1e-6,
     log=None,
 ) -> dict:
-    """Run + explain one bench scenario; returns the report document.
+    """Run + explain one seeded scenario; returns the report document.
 
-    Raises ``KeyError`` for an unknown scenario and ``ValueError`` for
-    one that cannot be attributed (the vectorised fast model records no
-    spans).  ``sanitize=True`` routes the exact-sum invariants through a
-    runtime :class:`~repro.analysis.Sanitizer` so the report carries its
-    check counters.
+    Raises ``ValueError`` for an unknown scenario and for one that cannot
+    be attributed (the vectorised fast model records no spans).
+    ``sanitize=True`` routes the exact-sum invariants through a runtime
+    :class:`~repro.analysis.Sanitizer` so the report carries its check
+    counters.
     """
     from ..obs import Observability
     from ..obs.critpath import extract_critical_path
     from ..obs.whatif import explain_decisions, run_whatif
     from ..ssd.simulator import simulate
-    from .bench import _FULL_REQUESTS, _QUICK_REQUESTS, SCENARIOS
+    from .scenarios import load_scenario
 
-    builder = SCENARIOS[name]
-    total = _QUICK_REQUESTS if quick else _FULL_REQUESTS
-    kind, requests, cfg, sets, faults = builder(total)
-    if kind != "simulator":
-        raise ValueError(
-            f"scenario {name!r} runs the {kind} backend, which records no "
-            "attribution spans; explain needs an event-driven scenario"
-        )
+    _, requests, cfg, sets, faults = load_scenario(
+        name, quick=quick, event_driven=True
+    )
     sanitizer = None
     if sanitize:
         from ..analysis import Sanitizer
@@ -168,7 +163,7 @@ def _render(doc: dict, top: int) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     """``repro explain`` entry point; returns a process exit code."""
-    from .bench import SCENARIOS
+    from .scenarios import SCENARIOS
 
     parser = argparse.ArgumentParser(
         prog="repro explain",
@@ -179,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
         "--scenario",
         default="gc_heavy",
         metavar="NAME",
-        help=f"bench scenario to explain (default gc_heavy); event-driven "
+        help=f"scenario to explain (default gc_heavy); event-driven "
         f"scenarios only; available: {', '.join(SCENARIOS)}",
     )
     parser.add_argument(
@@ -228,13 +223,6 @@ def main(argv: list[str] | None = None) -> int:
             whatif=not args.no_whatif,
             log=None if args.json else print,
         )
-    except KeyError:
-        print(
-            f"repro explain: unknown scenario {args.scenario!r}; available: "
-            f"{', '.join(SCENARIOS)}",
-            file=sys.stderr,
-        )
-        return 2
     except ValueError as exc:
         print(f"repro explain: {exc}", file=sys.stderr)
         return 2

@@ -3,7 +3,7 @@
 The ROADMAP's "raw speed: vectorized core" item needs a target list:
 which *host* functions burn the wall-clock when the event-driven
 simulator runs?  This module wraps :mod:`cProfile`/:mod:`pstats` around
-one seeded bench scenario (the simulate call only — trace synthesis and
+one seeded scenario (the simulate call only — trace synthesis and
 report assembly are excluded) and emits a schema-versioned hot-function
 report:
 
@@ -143,17 +143,15 @@ def collapsed_stacks(stats: pstats.Stats) -> list[str]:
 def profile_scenario(
     name: str, *, quick: bool = False, top: int = 25
 ) -> tuple[dict, pstats.Stats]:
-    """Profile one bench scenario; returns ``(report, pstats.Stats)``.
+    """Profile one seeded scenario; returns ``(report, pstats.Stats)``.
 
     Only the simulation call runs under the profiler; building the
-    seeded trace does not pollute the report.  Raises ``KeyError`` for
+    seeded trace does not pollute the report.  Raises ``ValueError`` for
     an unknown scenario.
     """
-    from .bench import _FULL_REQUESTS, _QUICK_REQUESTS, SCENARIOS
+    from .scenarios import load_scenario
 
-    builder = SCENARIOS[name]
-    total = _QUICK_REQUESTS if quick else _FULL_REQUESTS
-    kind, requests, cfg, sets, faults = builder(total)
+    kind, requests, cfg, sets, faults = load_scenario(name, quick=quick)
 
     profiler = cProfile.Profile()
     t0_s = time.perf_counter()
@@ -209,18 +207,18 @@ def _render(report: dict) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     """``repro profile`` entry point; returns a process exit code."""
-    from .bench import SCENARIOS
+    from .scenarios import SCENARIOS
 
     parser = argparse.ArgumentParser(
         prog="repro profile",
-        description="Profile the host-side hot paths of one seeded bench "
+        description="Profile the host-side hot paths of one seeded "
         "scenario (cProfile; feeds the vectorization target list).",
     )
     parser.add_argument(
         "--scenario",
         default="gc_heavy",
         metavar="NAME",
-        help=f"bench scenario to profile (default gc_heavy); available: "
+        help=f"scenario to profile (default gc_heavy); available: "
         f"{', '.join(SCENARIOS)}",
     )
     parser.add_argument(
@@ -261,12 +259,8 @@ def main(argv: list[str] | None = None) -> int:
         report, stats = profile_scenario(
             args.scenario, quick=args.quick, top=args.top
         )
-    except KeyError:
-        print(
-            f"repro profile: unknown scenario {args.scenario!r}; available: "
-            f"{', '.join(SCENARIOS)}",
-            file=sys.stderr,
-        )
+    except ValueError as exc:
+        print(f"repro profile: {exc}", file=sys.stderr)
         return 2
 
     if args.json:

@@ -334,7 +334,7 @@ class AttributionCollector:
         Maximum allowed |phase sum - recorded latency| per request.
     keep_records:
         Keep every :class:`RequestAttribution` on :attr:`records`
-        (the default; tests and the bench harness read them).  ``False``
+        (the default; tests and ``repro explain`` read them).  ``False``
         keeps only the aggregates, for very long runs.
     trace:
         Optional :class:`~repro.obs.trace.TraceRecorder`; when attached,

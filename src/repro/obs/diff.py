@@ -1,25 +1,17 @@
-"""Differential forensics: compare two runs, benches, or critical paths.
+"""Differential forensics: compare two runs, traces, or critical paths.
 
-Every earlier pillar can *detect* a change — the bench compare exits 1
-on a regression, the byte-identity integration tests fail on a behaviour
-drift — but nothing *localizes* it: which scenario, which latency phase,
-which resource, which simulated event moved first.  This module is the
-differential layer over the artifacts the repo already produces
-(``BENCH_*.json`` documents, attribution breakdowns, trace streams,
+The byte-identity integration tests *detect* a behaviour drift, but
+nothing in them *localizes* it: which latency metric, which resource,
+which simulated event moved first.  This module is the differential
+layer over the artifacts the repo already produces (trace streams,
 :class:`~repro.obs.critpath.BottleneckReport` documents, fleet reports).
 EagleTree's position — SSD-algorithm results are only trustworthy when
 competing runs are instrumented and compared under identical traces —
 is the design brief: every comparator here takes two artifacts of the
 same kind and emits a deterministic, schema-versioned delta document.
 
-Four comparators, one report schema:
+Three comparators, one report schema:
 
-* :func:`diff_bench_docs` — per-scenario wall-clock and simulated-metric
-  deltas between two bench documents, each classified direction-aware
-  (``improved`` / ``regressed`` / ``neutral`` under the bench suite's
-  existing wall-clock noise floor) plus an **attribution-delta
-  waterfall**: which latency phase (queue/gc_stall/bus/die/ecc/buffer)
-  the moved time went into, heaviest shift first;
 * :func:`diff_traces` — positional alignment of two event streams with
   the **first divergent event** (simulated time, event kind, tenant,
   channel, die) and downstream divergence counts, so a failed
@@ -28,10 +20,11 @@ Four comparators, one report schema:
   resource bucket, ranked by how much each resource's on-critical-path
   time shifted;
 * :func:`diff_fleet_devices` — two device entries of a fleet report
-  compared with the same metric classifier, so device-vs-device drift
-  inside one fleet run is diffable with the same vocabulary.
+  compared with a direction-aware metric classifier (``improved`` /
+  ``regressed`` / ``changed`` / ``neutral``), so device-vs-device drift
+  inside one fleet run is diffable.
 
-:func:`diff_run` composes the middle two: it re-simulates one seeded
+:func:`diff_run` composes the first two: it re-simulates one seeded
 request trace under two configurations (the same exact-re-execution
 trick the what-if engine uses) with tracing and attribution armed, and
 reports metric deltas, the first divergent trace event, and the
@@ -56,12 +49,10 @@ __all__ = [
     "build_diff_report",
     "load_diff",
     "write_diff",
-    "diff_bench_docs",
     "diff_traces",
     "diff_critpath_docs",
     "diff_fleet_devices",
     "diff_run",
-    "phase_waterfall",
 ]
 
 #: Bump when the report document layout changes shape.
@@ -75,33 +66,16 @@ _DIFF_FIELDS = frozenset({
 })
 
 #: report kinds the CLI and the loaders accept
-_DIFF_KINDS = frozenset({"bench", "run", "trace", "critpath", "fleet",
-                         "flight"})
+_DIFF_KINDS = frozenset({"run", "trace", "critpath", "fleet"})
 
-#: metrics that regress when they grow (latencies, failure counts)
+#: metrics that regress when they grow (latencies, failure counts); any
+#: other metric is informational (classified ``changed``, never
+#: ``regressed``/``improved``)
 _LOWER_BETTER_METRICS = frozenset({
-    "wall_s", "sim_mean_read_us", "sim_mean_write_us",
-    "sim_total_latency_us", "total_latency_us", "makespan_us",
+    "total_latency_us", "makespan_us",
     "mean_read_us", "mean_write_us", "read_mean_us", "read_p95_us",
     "write_mean_us", "write_p95_us", "failed_reads",
 })
-
-#: metrics that regress when they shrink (throughput)
-_HIGHER_BETTER_METRICS = frozenset({"requests_per_s"})
-
-
-def _direction(metric: str) -> str | None:
-    """Regression direction of ``metric``; ``None`` is informational
-    (classified ``changed``, never ``regressed``/``improved``)."""
-    if metric in _LOWER_BETTER_METRICS:
-        return "lower"
-    if metric in _HIGHER_BETTER_METRICS:
-        return "higher"
-    return None
-
-#: wall-clock metrics are classified ``neutral`` whenever both runs sat
-#: under the bench suite's noise floor, mirroring its compare()
-_WALL_METRICS = frozenset({"wall_s", "requests_per_s"})
 
 
 class DiffError(ValueError):
@@ -178,23 +152,15 @@ def write_diff(doc: dict, path) -> Path:
 # ----------------------------------------------------------------------
 # Metric delta classification
 # ----------------------------------------------------------------------
-def _metric_delta(
-    metric: str, a, b, *, tolerance_pct: float = 0.0,
-    below_floor: bool = False,
-) -> dict:
+def _metric_delta(metric: str, a, b) -> dict:
     """One metric's delta cell with a direction-aware classification."""
     delta = b - a
     delta_pct = (delta / a * 100.0) if a else None
-    direction = _direction(metric)
     if delta == 0:
         classification = "neutral"
-    elif below_floor and metric in _WALL_METRICS:
-        classification = "neutral"
-    elif delta_pct is not None and abs(delta_pct) <= tolerance_pct:
-        classification = "neutral"
-    elif direction is None:
+    elif metric not in _LOWER_BETTER_METRICS:
         classification = "changed"
-    elif (delta > 0) == (direction == "lower"):
+    elif delta > 0:
         classification = "regressed"
     else:
         classification = "improved"
@@ -207,20 +173,14 @@ def _metric_delta(
     }
 
 
-def _metric_table(
-    metrics_a: dict, metrics_b: dict, *, wall_tolerance_pct: float = 0.0,
-    below_floor: bool = False,
-) -> dict:
+def _metric_table(metrics_a: dict, metrics_b: dict) -> dict:
     """Delta cells for every numeric metric present on both sides."""
     out: dict = {}
     for metric in sorted(set(metrics_a) & set(metrics_b)):
         a, b = metrics_a[metric], metrics_b[metric]
         if not isinstance(a, (int, float)) or not isinstance(b, (int, float)):
             continue
-        tolerance = wall_tolerance_pct if metric in _WALL_METRICS else 0.0
-        out[metric] = _metric_delta(
-            metric, a, b, tolerance_pct=tolerance, below_floor=below_floor,
-        )
+        out[metric] = _metric_delta(metric, a, b)
     return out
 
 
@@ -236,101 +196,6 @@ def _tally(cells: dict) -> tuple[int, int, int]:
         1 for cell in cells.values() if cell["classification"] == "improved"
     )
     return divergences, regressions, improvements
-
-
-def phase_waterfall(phases_a: dict, phases_b: dict) -> list[dict]:
-    """Attribution-delta waterfall: which phase the moved time went into.
-
-    Each row carries both sides' totals, the delta, and the share of the
-    total absolute shift this phase accounts for; rows are ranked
-    heaviest |delta| first (ties by phase name) so the first row answers
-    "where did the time go".
-    """
-    names = sorted(set(phases_a) | set(phases_b))
-    rows = []
-    for name in names:
-        a_us = float(phases_a.get(name, 0.0))  # repro-lint: disable=R001 (phase totals are microseconds by the attribution contract)
-        b_us = float(phases_b.get(name, 0.0))  # repro-lint: disable=R001 (phase totals are microseconds by the attribution contract)
-        rows.append({
-            "phase": name,
-            "a_us": a_us,
-            "b_us": b_us,
-            "delta_us": b_us - a_us,
-        })
-    total_shift_us = sum(abs(row["delta_us"]) for row in rows)
-    for row in rows:
-        row["share"] = (
-            abs(row["delta_us"]) / total_shift_us if total_shift_us else 0.0
-        )
-    rows.sort(key=lambda row: (-abs(row["delta_us"]), row["phase"]))
-    return rows
-
-
-# ----------------------------------------------------------------------
-# Bench diff
-# ----------------------------------------------------------------------
-def diff_bench_docs(
-    doc_a: dict, doc_b: dict, *, wall_tolerance_pct: float = 10.0,
-) -> dict:
-    """Per-scenario deltas between two validated bench documents.
-
-    Wall-clock metrics are classified with ``wall_tolerance_pct`` slack
-    (hosts are noisy) and go ``neutral`` outright when both runs sat
-    under the bench suite's noise floor; simulated metrics are
-    deterministic, so *any* delta is a divergence.  Raises
-    ``ValueError`` for structurally incomparable documents (schema or
-    quick/full mismatch), exactly like the bench compare.
-    """
-    from ..harness.bench import _WALL_NOISE_FLOOR_S, load_bench
-
-    for doc, side in ((doc_a, "a"), (doc_b, "b")):
-        load_bench(doc, side=side)
-    if bool(doc_a.get("quick")) != bool(doc_b.get("quick")):
-        raise ValueError(
-            "cannot diff a --quick run against a full-size one "
-            "(request counts differ)"
-        )
-    scen_a = doc_a.get("scenarios", {})
-    scen_b = doc_b.get("scenarios", {})
-    scenarios: dict = {}
-    divergences = regressions = improvements = 0
-    for name in sorted(set(scen_a) & set(scen_b)):
-        entry_a, entry_b = scen_a[name], scen_b[name]
-        metrics_a = entry_a.get("metrics", {})
-        metrics_b = entry_b.get("metrics", {})
-        below_floor = (
-            max(metrics_a.get("wall_s") or 0.0, metrics_b.get("wall_s") or 0.0)
-            < _WALL_NOISE_FLOOR_S
-        )
-        cells = _metric_table(
-            metrics_a, metrics_b,
-            wall_tolerance_pct=wall_tolerance_pct, below_floor=below_floor,
-        )
-        entry: dict = {"metrics": cells}
-        attr_a = entry_a.get("attribution")
-        attr_b = entry_b.get("attribution")
-        if attr_a is not None and attr_b is not None:
-            entry["waterfall"] = phase_waterfall(
-                attr_a.get("phase_totals_us", {}),
-                attr_b.get("phase_totals_us", {}),
-            )
-        div, reg, imp = _tally(cells)
-        entry["divergences"] = div
-        entry["regressions"] = reg
-        entry["improvements"] = imp
-        divergences += div
-        regressions += reg
-        improvements += imp
-        scenarios[name] = entry
-    return {
-        "identical": divergences == 0,
-        "divergences": divergences,
-        "regressions": regressions,
-        "improvements": improvements,
-        "scenarios": scenarios,
-        "only_in_a": sorted(set(scen_a) - set(scen_b)),
-        "only_in_b": sorted(set(scen_b) - set(scen_a)),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -497,9 +362,9 @@ def diff_fleet_devices(doc: dict, device_a: int, device_b: int) -> dict:
     """Compare two device entries of one validated fleet report.
 
     Feeds the fleet loader's per-device sections through the same metric
-    classifier the bench diff uses, plus mean/p95 read and write
+    classifier the run diff uses, plus mean/p95 read and write
     latencies and (when the report carries a rollup) the two devices'
-    health scores — device-vs-device drift in the bench-diff vocabulary.
+    health scores — device-vs-device drift in the run-diff vocabulary.
     """
     from .fleet import load_fleet
 

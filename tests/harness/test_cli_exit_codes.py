@@ -25,12 +25,10 @@ def run_cli(argv):
 # ----------------------------------------------------------------------
 USAGE_ERRORS = {
     "unknown-command": ["nonsense"],
-    "bench-repeat-zero": ["bench", "--repeat", "0"],
-    "bench-unknown-scenario": ["bench", "--quick", "--scenario", "nope",
-                               "--no-write"],
     "explain-top-zero": ["explain", "--top", "0"],
     "explain-unknown-scenario": ["explain", "--scenario", "nope", "--quick"],
     "profile-top-zero": ["profile", "--top", "0"],
+    "profile-unknown-scenario": ["profile", "--scenario", "nope", "--quick"],
     "drift-unknown-scenario": ["drift", "--scenario", "nope"],
     "fleet-devices-zero": ["fleet", "--devices", "0"],
     "fleet-tenants-zero": ["fleet", "--tenants", "0"],
@@ -40,6 +38,8 @@ USAGE_ERRORS = {
                           "--scale", "warp_drive=2"],
     "diff-unknown-scenario": ["diff", "run", "--scenario", "nope"],
     "diff-fastmodel-run": ["diff", "run", "--scenario", "fastmodel"],
+    "removed-bench": ["bench", "--quick"],
+    "removed-diff-bench": ["diff", "bench", "a.json", "b.json"],
 }
 
 
@@ -52,8 +52,7 @@ def test_usage_errors_exit_two(argv):
 
 def test_missing_input_file_exits_two(tmp_path):
     gone = str(tmp_path / "missing.json")
-    assert run_cli(["diff", "bench", gone, gone]) == 2
-    assert run_cli(["bench", "--quick", "--no-write", "--baseline", gone]) == 2
+    assert run_cli(["diff", "critpath", gone, gone]) == 2
 
 
 # ----------------------------------------------------------------------
@@ -61,11 +60,6 @@ def test_missing_input_file_exits_two(tmp_path):
 # ----------------------------------------------------------------------
 def test_info_exits_zero(capsys):
     assert run_cli(["info"]) == 0
-    capsys.readouterr()
-
-
-def test_empty_trajectory_exits_zero(tmp_path, capsys):
-    assert run_cli(["bench", "--trajectory", str(tmp_path)]) == 0
     capsys.readouterr()
 
 
@@ -116,18 +110,3 @@ def test_diff_trace_divergence_exits_one(tmp_path, capsys):
     assert run_cli(["diff", "trace", a, b]) == 1
     capsys.readouterr()
 
-
-def test_bench_baseline_regression_exits_one(tmp_path, capsys):
-    from tests.harness.test_difflab import make_bench_doc
-
-    # an impossibly fast baseline: the real quick run must regress on the
-    # deterministic simulated metric regardless of host speed
-    baseline = make_bench_doc(read_us=0.001, wall_s=1000.0, rps=0.001)
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps(baseline))
-    code = run_cli([
-        "bench", "--quick", "--scenario", "mix2_shared", "--no-write",
-        "--out", str(tmp_path), "--baseline", str(path),
-    ])
-    assert code == 1
-    capsys.readouterr()

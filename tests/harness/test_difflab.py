@@ -5,31 +5,8 @@ import json
 
 import pytest
 
-from repro.harness.bench import SCHEMA_VERSION
 from repro.harness.difflab import main
-from repro.obs.diff import DIFF_SCHEMA_VERSION, load_diff
-
-
-def make_bench_doc(read_us=100.0, wall_s=0.5, rps=1000.0, *, quick=True):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "created": "2026-01-01T00:00:00Z",
-        "quick": quick,
-        "repeat": 1,
-        "python": "3.11.0",
-        "platform": "test-host",
-        "scenarios": {
-            "mix2_shared": {
-                "kind": "simulator",
-                "requests": 600,
-                "metrics": {
-                    "wall_s": wall_s,
-                    "requests_per_s": rps,
-                    "sim_mean_read_us": read_us,
-                },
-            }
-        },
-    }
+from repro.obs.diff import load_diff
 
 
 def make_critpath(service_us=30.0, *, makespan_us=100.0):
@@ -67,55 +44,6 @@ EVENTS = [
     {"ts_us": 2.0, "name": "channel_acquire", "track": "ch1", "cat": "sim",
      "dur_us": 1.5, "args": {}},
 ]
-
-
-class TestBenchMode:
-    def test_identical_documents_exit_zero(self, tmp_path, capsys):
-        a = write_json(tmp_path / "a.json", make_bench_doc())
-        b = write_json(tmp_path / "b.json", make_bench_doc())
-        assert main(["bench", a, b]) == 0
-        assert "identical" in capsys.readouterr().out
-
-    def test_regression_exits_one_and_is_rendered(self, tmp_path, capsys):
-        a = write_json(tmp_path / "a.json", make_bench_doc(read_us=100.0))
-        b = write_json(tmp_path / "b.json", make_bench_doc(read_us=150.0))
-        assert main(["bench", a, b]) == 1
-        out = capsys.readouterr().out
-        assert "sim_mean_read_us" in out
-        assert "regressed" in out
-
-    def test_improvement_alone_exits_zero(self, tmp_path):
-        a = write_json(tmp_path / "a.json", make_bench_doc(read_us=100.0))
-        b = write_json(tmp_path / "b.json", make_bench_doc(read_us=50.0))
-        assert main(["bench", a, b]) == 0
-
-    def test_quick_full_mismatch_is_usage_error(self, tmp_path, capsys):
-        a = write_json(tmp_path / "a.json", make_bench_doc(quick=True))
-        b = write_json(tmp_path / "b.json", make_bench_doc(quick=False))
-        assert main(["bench", a, b]) == 2
-        assert "repro diff:" in capsys.readouterr().err
-
-    def test_missing_file_is_usage_error(self, tmp_path, capsys):
-        a = write_json(tmp_path / "a.json", make_bench_doc())
-        assert main(["bench", a, str(tmp_path / "gone.json")]) == 2
-        assert "cannot read" in capsys.readouterr().err
-
-    def test_json_output_is_a_valid_report(self, tmp_path, capsys):
-        a = write_json(tmp_path / "a.json", make_bench_doc())
-        b = write_json(tmp_path / "b.json", make_bench_doc(read_us=150.0))
-        main(["bench", a, b, "--json"])
-        report = load_diff(json.loads(capsys.readouterr().out))
-        assert report["kind"] == "bench"
-        assert report["schema_version"] == DIFF_SCHEMA_VERSION
-
-    def test_out_writes_byte_identical_reports(self, tmp_path, capsys):
-        a = write_json(tmp_path / "a.json", make_bench_doc())
-        b = write_json(tmp_path / "b.json", make_bench_doc(read_us=150.0))
-        main(["bench", a, b, "--out", str(tmp_path / "one.json")])
-        main(["bench", a, b, "--out", str(tmp_path / "two.json")])
-        one = (tmp_path / "one.json").read_bytes()
-        assert one == (tmp_path / "two.json").read_bytes()
-        load_diff(json.loads(one))
 
 
 class TestTraceMode:

@@ -51,8 +51,8 @@ class TestExplainScenario:
         with pytest.raises(ValueError, match="fastmodel"):
             explain_scenario("fastmodel", quick=True)
 
-    def test_unknown_scenario_raises_keyerror(self):
-        with pytest.raises(KeyError):
+    def test_unknown_scenario_raises_value_error(self):
+        with pytest.raises(ValueError, match="unknown scenario"):
             explain_scenario("nope", quick=True)
 
 

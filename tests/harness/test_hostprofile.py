@@ -55,7 +55,7 @@ class TestProfileScenario:
                     "cumtime_s"} <= set(row)
 
     def test_unknown_scenario_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown scenario"):
             profile_scenario("nope", quick=True)
 
     def test_collapsed_stacks_format(self, gc_heavy_profile):

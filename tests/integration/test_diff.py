@@ -17,7 +17,7 @@ import json
 
 import pytest
 
-from repro.harness.bench import SCENARIOS
+from repro.harness.scenarios import SCENARIOS
 from repro.obs.diff import diff_run, load_diff, write_diff
 from repro.obs.whatif import run_whatif
 

@@ -5,19 +5,17 @@ import json
 
 import pytest
 
-from repro.harness.bench import SCENARIOS, SCHEMA_VERSION
+from repro.harness.scenarios import SCENARIOS
 from repro.obs.critpath import CRITPATH_SCHEMA_VERSION
 from repro.obs.diff import (
     DIFF_SCHEMA_VERSION,
     DiffError,
     build_diff_report,
-    diff_bench_docs,
     diff_critpath_docs,
     diff_fleet_devices,
     diff_run,
     diff_traces,
     load_diff,
-    phase_waterfall,
     write_diff,
 )
 
@@ -25,30 +23,6 @@ from repro.obs.diff import (
 # ----------------------------------------------------------------------
 # Artifact factories
 # ----------------------------------------------------------------------
-def make_bench_doc(read_us=100.0, wall_s=0.5, rps=1000.0, *, quick=True,
-                   phases=None, scenario="mix2_shared"):
-    entry = {
-        "kind": "simulator",
-        "requests": 600,
-        "metrics": {
-            "wall_s": wall_s,
-            "requests_per_s": rps,
-            "sim_mean_read_us": read_us,
-        },
-    }
-    if phases is not None:
-        entry["attribution"] = {"phase_totals_us": dict(phases)}
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "created": "2026-01-01T00:00:00Z",
-        "quick": quick,
-        "repeat": 1,
-        "python": "3.11.0",
-        "platform": "test-host",
-        "scenarios": {scenario: entry},
-    }
-
-
 def make_critpath(resources, *, makespan_us=100.0, host=0.0, internal=0.0,
                   residual=0.0):
     ranked = sorted(resources, key=lambda n: -sum(resources[n].values()))
@@ -160,110 +134,6 @@ class TestReportSchema:
         p2 = write_diff(report, tmp_path / "two.json")
         assert p1.read_bytes() == p2.read_bytes()
         assert load_diff(json.loads(p1.read_text()))["divergences"] == 1
-
-
-# ----------------------------------------------------------------------
-# Bench diff (metric classification + waterfall)
-# ----------------------------------------------------------------------
-class TestBenchDiff:
-    def test_identical_documents_diff_empty(self):
-        section = diff_bench_docs(make_bench_doc(), make_bench_doc())
-        assert section["identical"] is True
-        assert section["divergences"] == 0
-        cells = section["scenarios"]["mix2_shared"]["metrics"]
-        assert all(c["classification"] == "neutral" for c in cells.values())
-
-    def test_simulated_latency_growth_is_a_regression(self):
-        section = diff_bench_docs(
-            make_bench_doc(read_us=100.0), make_bench_doc(read_us=120.0)
-        )
-        cell = section["scenarios"]["mix2_shared"]["metrics"]["sim_mean_read_us"]
-        assert cell["classification"] == "regressed"
-        assert cell["delta"] == pytest.approx(20.0)
-        assert cell["delta_pct"] == pytest.approx(20.0)
-        assert section["regressions"] == 1
-        assert section["identical"] is False
-
-    def test_simulated_latency_drop_is_an_improvement(self):
-        section = diff_bench_docs(
-            make_bench_doc(read_us=100.0), make_bench_doc(read_us=80.0)
-        )
-        cell = section["scenarios"]["mix2_shared"]["metrics"]["sim_mean_read_us"]
-        assert cell["classification"] == "improved"
-        assert section["regressions"] == 0
-        assert section["improvements"] == 1
-
-    def test_throughput_is_higher_better(self):
-        section = diff_bench_docs(
-            make_bench_doc(rps=1000.0), make_bench_doc(rps=500.0),
-            wall_tolerance_pct=10.0,
-        )
-        cell = section["scenarios"]["mix2_shared"]["metrics"]["requests_per_s"]
-        assert cell["classification"] == "regressed"
-
-    def test_wall_clock_within_tolerance_is_neutral(self):
-        section = diff_bench_docs(
-            make_bench_doc(wall_s=0.50), make_bench_doc(wall_s=0.54),
-            wall_tolerance_pct=10.0,
-        )
-        cell = section["scenarios"]["mix2_shared"]["metrics"]["wall_s"]
-        assert cell["classification"] == "neutral"
-
-    def test_wall_clock_under_noise_floor_is_neutral(self):
-        # 3x slower, but both sides sat under the bench noise floor
-        section = diff_bench_docs(
-            make_bench_doc(wall_s=0.003, rps=1000.0),
-            make_bench_doc(wall_s=0.009, rps=1000.0),
-            wall_tolerance_pct=0.0,
-        )
-        cell = section["scenarios"]["mix2_shared"]["metrics"]["wall_s"]
-        assert cell["classification"] == "neutral"
-
-    def test_quick_full_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="quick"):
-            diff_bench_docs(make_bench_doc(quick=True),
-                            make_bench_doc(quick=False))
-
-    def test_waterfall_present_when_both_sides_attributed(self):
-        section = diff_bench_docs(
-            make_bench_doc(phases={"bus_us": 100.0, "gc_stall_us": 50.0}),
-            make_bench_doc(phases={"bus_us": 160.0, "gc_stall_us": 70.0}),
-        )
-        rows = section["scenarios"]["mix2_shared"]["waterfall"]
-        assert rows[0]["phase"] == "bus_us"  # heaviest shift first
-        assert rows[0]["delta_us"] == pytest.approx(60.0)
-        assert rows[0]["share"] == pytest.approx(0.75)
-        assert sum(r["share"] for r in rows) == pytest.approx(1.0)
-
-    def test_waterfall_absent_without_attribution(self):
-        section = diff_bench_docs(make_bench_doc(), make_bench_doc())
-        assert "waterfall" not in section["scenarios"]["mix2_shared"]
-
-    def test_disjoint_scenarios_listed_not_compared(self):
-        section = diff_bench_docs(
-            make_bench_doc(scenario="gc_heavy"),
-            make_bench_doc(scenario="faulted"),
-        )
-        assert section["only_in_a"] == ["gc_heavy"]
-        assert section["only_in_b"] == ["faulted"]
-        assert section["scenarios"] == {}
-
-
-class TestPhaseWaterfall:
-    def test_missing_phases_count_as_zero(self):
-        rows = phase_waterfall({"bus_us": 10.0}, {"die_us": 4.0})
-        by_phase = {r["phase"]: r for r in rows}
-        assert by_phase["bus_us"]["delta_us"] == pytest.approx(-10.0)
-        assert by_phase["die_us"]["delta_us"] == pytest.approx(4.0)
-
-    def test_ties_rank_by_phase_name(self):
-        rows = phase_waterfall({"b_us": 0.0, "a_us": 0.0},
-                               {"b_us": 5.0, "a_us": 5.0})
-        assert [r["phase"] for r in rows] == ["a_us", "b_us"]
-
-    def test_no_shift_means_zero_shares(self):
-        rows = phase_waterfall({"bus_us": 10.0}, {"bus_us": 10.0})
-        assert rows[0]["share"] == 0.0
 
 
 # ----------------------------------------------------------------------
