@@ -11,14 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Mapping, Sequence
 import zlib
 
 import numpy as np
 
 from ..ssd.config import SSDConfig
-from ..ssd.fastmodel import fast_simulate
+from ..ssd.fastmodel import fast_sweep
+from ..ssd.ftl.page_alloc import PageAllocMode
 from ..ssd.metrics import SimulationResult
+from ..ssd.request import IORequest
 from ..ssd.simulator import simulate
 from ..workloads.mixer import MixedWorkload, synthesize_mix
 from ..workloads.spec import WorkloadSpec
@@ -40,8 +42,29 @@ __all__ = [
     "generate_dataset",
 ]
 
-#: engine name -> simulate callable
-_ENGINES: dict[str, Callable] = {"fast": fast_simulate, "event": simulate}
+
+def _event_sweep(
+    requests: list[IORequest],
+    config: SSDConfig,
+    channel_sets_per_strategy: Sequence[Mapping[int, Sequence[int]]],
+    page_modes: Mapping[int, PageAllocMode],
+) -> list[SimulationResult]:
+    """One event-driven run per strategy.
+
+    Unlike the fast model, the event engine is not assumed separable by
+    channel group: one event queue orders same-time events across the whole
+    device, and the FTL (GC, dynamic page placement) keeps device-wide
+    state.  So every strategy replays the full trace.
+    """
+    return [
+        simulate(requests, config, channel_sets, page_modes)
+        for channel_sets in channel_sets_per_strategy
+    ]
+
+
+#: engine name -> sweep callable ``(requests, ssd, channel sets per strategy,
+#: page modes) -> one SimulationResult per strategy``
+_ENGINES: dict[str, Callable] = {"fast": fast_sweep, "event": _event_sweep}
 
 
 @dataclass(frozen=True)
@@ -188,14 +211,12 @@ def sweep_strategies(
     config: LabelerConfig,
 ) -> list[SimulationResult]:
     """Simulate ``mixed`` under every strategy in ``space``."""
-    engine = _ENGINES[config.engine]
     write_dominated = features.write_dominated()
+    channel_sets = [
+        strategy.channel_sets(space.n_channels, write_dominated) for strategy in space
+    ]
     page_modes = page_modes_for(config.page_policy, features)
-    results = []
-    for strategy in space:
-        channel_sets = strategy.channel_sets(space.n_channels, write_dominated)
-        results.append(engine(mixed.requests, config.ssd, channel_sets, page_modes))
-    return results
+    return _ENGINES[config.engine](mixed.requests, config.ssd, channel_sets, page_modes)
 
 
 def objective_us(result: SimulationResult, objective: str) -> float:
@@ -331,7 +352,6 @@ def _snap_to_grid(shares: np.ndarray, grid: float) -> np.ndarray:
     while units.sum() < units_total:
         remainders = raw - units
         units[int(np.argmax(remainders))] += 1
-        raw = raw  # remainders shrink as units grow; loop terminates
     while units.sum() > units_total:
         # Over-allocation can only come from the >=1 floor; shave the
         # largest allocation that stays positive.

@@ -25,6 +25,7 @@ strategy-*ranking* agreement against the DES in
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -33,15 +34,23 @@ from .config import SSDConfig
 from .faults import FaultConfig, FaultExpectation
 from .ftl.page_alloc import PageAllocMode
 from .geometry import Geometry
-from .metrics import LatencyAccumulator, SimulationResult, build_result
+from .metrics import LatencyAccumulator, OpStats, SimulationResult, build_result
 from .request import IORequest, OpType
 from .timing import ServiceTimes
 
-__all__ = ["FastLatencyModel", "fast_simulate"]
+__all__ = ["FastLatencyModel", "fast_simulate", "fast_sweep"]
 
 
 class FastLatencyModel:
-    """Approximate trace simulation with numpy-prepared timelines."""
+    """Approximate trace simulation with numpy-prepared timelines.
+
+    Every die and every channel bus has its own :class:`_GapTimeline`, and a
+    sub-request books only the die and the bus of the plane it lands on, a
+    plane inside its tenant's channel set.  No state crosses channels, so
+    tenants on disjoint channel sets never touch a common timeline:
+    :func:`fast_sweep` relies on this to compose a strategy's result from
+    separate runs of its channel groups.
+    """
 
     def __init__(
         self,
@@ -256,6 +265,10 @@ class _GapTimeline:
     conservation), else at the tail.  Gaps that end before the request time
     of every future job are pruned lazily — request times never decrease by
     more than the die/bus phase offsets, so a small horizon suffices.
+
+    The state (tail, gaps, pruning) depends only on the sequence of
+    ``place`` calls made on this one timeline, so a run restricted to the
+    tenants that reach it books it identically.
     """
 
     __slots__ = ("tail", "gaps")
@@ -305,10 +318,8 @@ class _GapTimeline:
         return end
 
 
-def _bulk_stats(latencies_us: np.ndarray, record: bool):
+def _bulk_stats(latencies_us: np.ndarray, record: bool) -> OpStats:
     """Build an OpStats from an array in one shot."""
-    from .metrics import OpStats
-
     stats = OpStats(
         count=int(latencies_us.size),
         total_us=float(latencies_us.sum()),
@@ -336,3 +347,89 @@ def fast_simulate(
         obs=obs, faults=faults,
     )
     return model.run(requests)
+
+
+def fast_sweep(
+    requests: Iterable[IORequest],
+    config: SSDConfig,
+    channel_sets_per_strategy: Sequence[Mapping[int, Sequence[int]]],
+    page_modes: Mapping[int, PageAllocMode] | None = None,
+) -> list[SimulationResult]:
+    """Fast-model results of one trace under many channel assignments.
+
+    ``results[i]`` equals ``fast_simulate(requests, config,
+    channel_sets_per_strategy[i], page_modes)`` field for field, but the
+    work is shared.  The fast model keeps no state across channels, so a
+    strategy's tenants split into groups with disjoint channels (connected
+    components of overlapping channel sets) that never interact.  Channels
+    are interchangeable, so a group's timeline is fixed by its tenants and
+    their channel sets renumbered densely from 0: the same tenant on a
+    one-channel slice is one group wherever the slice sits.  Each distinct
+    group runs once, on its own tenants' requests, and each strategy is
+    assembled from its groups.
+    """
+    ordered = sorted(requests, key=lambda r: r.arrival_us)
+    present = {r.workload_id for r in ordered}
+    subrequests = sum(r.length for r in ordered)
+    runs: dict[tuple, SimulationResult] = {}
+    results = []
+    for channel_sets in channel_sets_per_strategy:
+        unknown = present - set(channel_sets)
+        if unknown:
+            raise KeyError(f"unknown workload ids in trace: {sorted(unknown)}")
+        group_of: dict[int, SimulationResult] = {}
+        for tenants, channels in _channel_groups(channel_sets):
+            # Renumbering would hide a channel the device does not have.
+            if not channels <= set(range(config.channels)):
+                raise ValueError(f"channels out of range: {sorted(channels)}")
+            dense = {ch: i for i, ch in enumerate(sorted(channels))}
+            sets = {
+                wid: sorted({dense[ch] for ch in channel_sets[wid]}) for wid in tenants
+            }
+            key = tuple((wid, tuple(sets[wid])) for wid in tenants)
+            run = runs.get(key)
+            if run is None:
+                group = set(tenants)
+                run = runs[key] = FastLatencyModel(config, sets, page_modes).run(
+                    [r for r in ordered if r.workload_id in group]
+                )
+            group_of.update(dict.fromkeys(tenants, run))
+        # Same (sorted tenant, READ then WRITE) insertion order as ``run``,
+        # so the merged read/write totals add up in the same order.
+        acc = LatencyAccumulator()
+        for wid in sorted(channel_sets):
+            pair = group_of[wid].per_workload.get(wid)
+            if pair is None:
+                continue
+            for op, stats in zip((OpType.READ, OpType.WRITE), pair):
+                if stats.count:  # copied: results share no mutable stats
+                    acc.set_stats(wid, op, dataclasses.replace(stats))
+        results.append(
+            build_result(
+                acc,
+                makespan_us=max(
+                    (run.makespan_us for run in group_of.values()), default=0.0
+                ),
+                requests=len(ordered),
+                subrequests=subrequests,
+            )
+        )
+    return results
+
+
+def _channel_groups(
+    channel_sets: Mapping[int, Sequence[int]],
+) -> list[tuple[list[int], set[int]]]:
+    """Tenants grouped by overlapping channel sets: (sorted tenants, channels)."""
+    groups: list[tuple[list[int], set[int]]] = []
+    for wid in sorted(channel_sets):
+        tenants, channels = [wid], set(channel_sets[wid])
+        apart = []
+        for other_tenants, other_channels in groups:
+            if other_channels & channels:
+                tenants += other_tenants
+                channels |= other_channels
+            else:
+                apart.append((other_tenants, other_channels))
+        groups = apart + [(sorted(tenants), channels)]
+    return groups

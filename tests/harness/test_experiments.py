@@ -19,7 +19,15 @@ from repro.harness import (
 
 @pytest.fixture
 def cache(tmp_path):
+    """A fresh, empty artifact cache."""
     return ArtifactCache(tmp_path / "cache")
+
+
+@pytest.fixture(scope="module")
+def shared_cache(tmp_path_factory):
+    """One artifact cache for the module, so the micro dataset and models
+    are built once rather than once per test."""
+    return ArtifactCache(tmp_path_factory.mktemp("shared") / "cache")
 
 
 @pytest.fixture(scope="module")
@@ -48,39 +56,39 @@ class TestVariants:
 
 
 class TestDatasetAndTraining:
-    def test_build_dataset_cached(self, micro, cache):
-        ds1 = build_dataset(micro, cache=cache)
-        ds2 = build_dataset(micro, cache=cache)
+    def test_build_dataset_cached(self, micro, shared_cache):
+        ds1 = build_dataset(micro, cache=shared_cache)
+        ds2 = build_dataset(micro, cache=shared_cache)
         assert len(ds1) == 8
         assert (ds1.features == ds2.features).all()
 
-    def test_train_all_produces_four_variants(self, micro, cache):
-        res = train_all(micro, cache=cache)
+    def test_train_all_produces_four_variants(self, micro, shared_cache):
+        res = train_all(micro, cache=shared_cache)
         assert set(res["variants"]) == set(OPTIMIZER_VARIANTS)
         for row in res["variants"].values():
             assert len(row["loss_curve"]) == micro.train_iterations
             assert 0.0 <= row["final_accuracy"] <= 1.0
             assert row["training_time_ms"] > 0
 
-    def test_trained_learner_roundtrips_through_cache(self, micro, cache):
-        a = trained_learner(micro, cache=cache)
-        b = trained_learner(micro, cache=cache)  # loaded from disk
+    def test_trained_learner_roundtrips_through_cache(self, micro, shared_cache):
+        a = trained_learner(micro, cache=shared_cache)
+        b = trained_learner(micro, cache=shared_cache)  # loaded from disk
         from repro.core import FeatureVector
 
         fv = FeatureVector(5, (0, 1, 0, 1), (0.25, 0.25, 0.25, 0.25))
         assert a.predict_index(fv) == b.predict_index(fv)
 
-    def test_trained_learner_rejects_unknown_variant(self, micro, cache):
+    def test_trained_learner_rejects_unknown_variant(self, micro, shared_cache):
         with pytest.raises(ValueError):
-            trained_learner(micro, cache=cache, variant="Adam-cubic")
+            trained_learner(micro, cache=shared_cache, variant="Adam-cubic")
 
-    def test_cached_learner_or_none(self, micro, cache):
+    def test_cached_learner_or_none(self, micro, cache, shared_cache):
         from repro.harness import cached_learner_or_none
 
         # Empty cache: None, and crucially no hour-long build is triggered.
         assert cached_learner_or_none(micro, cache=cache) is None
-        built = trained_learner(micro, cache=cache)
-        probed = cached_learner_or_none(micro, cache=cache)
+        built = trained_learner(micro, cache=shared_cache)
+        probed = cached_learner_or_none(micro, cache=shared_cache)
         assert probed is not None
         from repro.core import FeatureVector
 

@@ -1,8 +1,22 @@
 """Fast timeline model: exactness on simple cases, DES agreement."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+import numpy as np
 import pytest
 
-from repro.ssd import IORequest, OpType, ServiceTimes, fast_simulate, simulate
+from repro.core.hybrid import PagePolicy, page_modes_for
+from repro.core.strategies import StrategySpace
+from repro.ssd import (
+    FastLatencyModel,
+    IORequest,
+    OpType,
+    ServiceTimes,
+    SSDConfig,
+    fast_simulate,
+    fast_sweep,
+    simulate,
+)
 
 
 def shared_sets(n=1, channels=8):
@@ -137,3 +151,92 @@ class TestPlacementModes:
             [write(0.0, i) for i in range(8)], small_config, sets
         )
         assert result.write.max_us > t.write_service_us
+
+
+class TestFastSweep:
+    """``fast_sweep`` equals one ``fast_simulate`` per strategy, bit for bit."""
+
+    SPACE = StrategySpace(8, 4)
+
+    @staticmethod
+    def mix(seed, writers, counts):
+        """Per-tenant streams on a 10 us arrival grid (so arrivals tie)."""
+        rng = np.random.default_rng(seed)
+        reqs = []
+        for wid, (writer, count) in enumerate(zip(writers, counts)):
+            for _ in range(count):
+                is_write = rng.random() < (0.9 if writer else 0.1)
+                reqs.append(
+                    IORequest(
+                        arrival_us=float(rng.integers(0, 300)) * 10.0,
+                        workload_id=wid,
+                        op=OpType.WRITE if is_write else OpType.READ,
+                        lpn=int(rng.integers(0, 4096)),
+                        length=int(rng.integers(1, 5)),
+                    )
+                )
+        return reqs
+
+    def assert_matches_per_strategy(self, config, reqs, writers):
+        sets = [s.channel_sets(8, writers) for s in self.SPACE]
+        characteristics = [0 if w else 1 for w in writers]
+        for policy in PagePolicy:
+            modes = page_modes_for(policy, characteristics)
+            swept = fast_sweep(reqs, config, sets, modes)
+            assert len(swept) == len(sets)
+            for strategy, channel_sets, got in zip(self.SPACE, sets, swept):
+                want = fast_simulate(reqs, config, channel_sets, modes)
+                assert got == want, (policy, strategy.label)
+
+    @given(
+        seed=st.integers(0, 2**16),
+        writers=st.lists(st.booleans(), min_size=4, max_size=4),
+        counts=st.lists(st.integers(0, 50), min_size=4, max_size=4),
+    )
+    @settings(max_examples=20, derandomize=True)
+    def test_equals_fast_simulate_per_strategy(self, seed, writers, counts):
+        reqs = self.mix(seed, writers, counts)
+        self.assert_matches_per_strategy(SSDConfig.small(), reqs, writers)
+
+    def test_all_read_dominated(self, small_config):
+        # The two-part splits put every tenant in the read group.
+        writers = [False] * 4
+        reqs = self.mix(7, writers, [40, 30, 20, 10])
+        self.assert_matches_per_strategy(small_config, reqs, writers)
+
+    def test_tenant_without_requests(self, small_config):
+        writers = [True, False, True, False]
+        reqs = self.mix(11, writers, [40, 0, 30, 20])
+        self.assert_matches_per_strategy(small_config, reqs, writers)
+
+    def test_empty_trace(self, small_config):
+        self.assert_matches_per_strategy(small_config, [], [True, False, True, False])
+
+    def test_unknown_workload_rejected(self, small_config):
+        sets = [s.channel_sets(8, [True, False, True, False]) for s in self.SPACE]
+        with pytest.raises(KeyError):
+            fast_sweep([read(0.0, 0, wid=5)], small_config, sets)
+
+    def test_out_of_range_channel_rejected(self, small_config):
+        with pytest.raises(ValueError):
+            fast_sweep([read(0.0, 0)], small_config, [{0: [8]}])
+
+    def test_runs_each_distinct_channel_group_once(self, small_config, monkeypatch):
+        runs = []
+        original = FastLatencyModel.run
+
+        def counting_run(model, requests):
+            runs.append(dict(model.channel_sets))
+            return original(model, requests)
+
+        monkeypatch.setattr(FastLatencyModel, "run", counting_run)
+        writers = [True, False, True, False]
+        sets = [s.channel_sets(8, writers) for s in self.SPACE]
+        fast_sweep(self.mix(3, writers, [20, 20, 20, 20]), small_config, sets)
+        # Shared (1) + each tenant alone on 1..5 channels (20, Isolated's
+        # 2-channel slices among them) + the writer pair and the reader
+        # pair on each two-part split's 6 widths (12).
+        assert len(runs) == 33
+        assert all(
+            min(chs) == 0 for sets in runs for chs in sets.values() if len(sets) == 1
+        )
