@@ -10,6 +10,9 @@ Subpackages:
   allocator, hybrid page policy, Algorithm-2 keeper);
 * :mod:`repro.harness` — experiment sweeps, caching, and the per-figure
   reproduction entry points.
+
+:mod:`repro.schema` declares every schema-versioned JSON document the
+subpackages write.
 """
 
 from . import core, harness, nn, ssd, workloads

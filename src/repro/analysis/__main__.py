@@ -5,7 +5,7 @@ Exit status 0 when no *active* (unwaived, unbaselined) violations remain,
 
 Diff-aware mode: ``--changed`` lints only files that differ from
 ``--diff-base`` (default ``HEAD``) plus untracked python files.  The whole
-tree is still parsed — the interprocedural rules (R005–R007) need the
+tree is still parsed — the interprocedural rules (R005–R006) need the
 full call graph — but only violations landing in changed files are
 reported.
 
@@ -41,8 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "Run the repro domain lints (R001-R007, including the "
-            "interprocedural seed-provenance, pool-safety, and schema "
-            "round-trip rules) over files or trees."
+            "interprocedural seed-provenance and pool-safety rules and "
+            "the schema-stamp rule) over files or trees."
         ),
     )
     parser.add_argument(

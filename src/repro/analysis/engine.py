@@ -6,8 +6,8 @@ the same CI job re-parses nothing), extracts per-line waivers from
 comments, derives the dotted module name (so rules can scope themselves to
 ``repro.ssd`` / ``repro.core``), and dispatches two rule families:
 
-* **per-file rules** (R001–R004) see one :class:`ModuleSource` at a time;
-* **program rules** (R005–R007) see a :class:`~repro.analysis.program.Program`
+* **per-file rules** (R001–R004, R007) see one :class:`ModuleSource` at a time;
+* **program rules** (R005–R006) see a :class:`~repro.analysis.program.Program`
   built once over *all* discovered modules — symbol table, call graph,
   interprocedural edges.
 
@@ -50,26 +50,28 @@ import re
 import sys
 from typing import Iterable, Sequence
 
+from ..schema import Schema
+
 __all__ = [
-    "REPORT_SCHEMA_VERSION",
+    "REPORT_SCHEMA",
     "Violation",
     "Waiver",
     "ModuleSource",
     "Report",
     "LintEngine",
     "lint_paths",
-    "load_report_dict",
 ]
 
-#: version stamped into :meth:`Report.to_dict` (v1 was the pre-interprocedural
-#: per-file report; v2 adds fingerprints, suppression and tool metadata)
-REPORT_SCHEMA_VERSION = 2
-
-#: JSON report keys every consumer may rely on (see :func:`load_report_dict`)
-_REPORT_FIELDS = frozenset({
-    "schema_version", "tool", "files", "ok", "counts", "suppressed",
-    "violations",
-})
+#: the ``--json`` report of :meth:`Report.to_dict` (v1 was the
+#: pre-interprocedural per-file report; v2 adds fingerprints, suppression
+#: and tool metadata)
+REPORT_SCHEMA = Schema(
+    "lint report",
+    2,
+    required=(
+        "tool", "files", "ok", "counts", "suppressed", "violations",
+    ),
+)
 
 # The reason capture runs greedily to the LAST ')' on the line: a reason
 # like "(1/rps is seconds (SI), so the product is unitless)" must survive
@@ -79,7 +81,7 @@ _WAIVER_RE = re.compile(
     r"#\s*repro-lint:\s*disable=(?P<codes>[A-Z]\d{3}(?:\s*,\s*[A-Z]\d{3})*)"
     r"(?:\s*\((?P<reason>.*)\))?"
 )
-_MODULE_RE = re.compile(r"#\s*repro-lint:\s*module=(?P<module>[\w.]+)")
+_MODULE_RE = re.compile(r"^#\s*repro-lint:\s*module=(?P<module>[\w.]+)", re.M)
 
 
 @dataclass(frozen=True)
@@ -297,35 +299,17 @@ class Report:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "tool": {
+        return REPORT_SCHEMA.stamp(
+            tool={
                 "name": "repro-analysis",
                 "rules": {code: summary for code, summary in self.rules},
             },
-            "files": self.files,
-            "ok": self.ok,
-            "counts": self.counts(),
-            "suppressed": len(self.baselined),
-            "violations": [v.to_dict() for v in self.violations],
-        }
-
-
-def load_report_dict(doc: dict) -> dict:
-    """Validate a machine-readable report (the v2 round-trip reader).
-
-    Raises :class:`ValueError` on a version or shape mismatch; returns the
-    document unchanged otherwise.
-    """
-    if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
-        raise ValueError(
-            f"report has schema_version {doc.get('schema_version')!r}; "
-            f"this tool reads version {REPORT_SCHEMA_VERSION}"
+            files=self.files,
+            ok=self.ok,
+            counts=self.counts(),
+            suppressed=len(self.baselined),
+            violations=[v.to_dict() for v in self.violations],
         )
-    missing = _REPORT_FIELDS - set(doc)
-    if missing:
-        raise ValueError(f"report is missing fields: {sorted(missing)}")
-    return doc
 
 
 class LintEngine:

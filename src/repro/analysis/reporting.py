@@ -4,8 +4,8 @@ Three formats, all deterministic (byte-identical across invocations over
 the same tree):
 
 * plain text — one line per violation plus a summary line;
-* JSON — the schema-version-2 document (:func:`report_json`), read back
-  by :func:`repro.analysis.engine.load_report_dict`;
+* JSON — the schema-version-2 document (:func:`report_json`), declared
+  and read back by :data:`repro.analysis.engine.REPORT_SCHEMA`;
 * SARIF 2.1.0 (:func:`sarif_report`) — for code-scanning UIs; waived and
   baselined violations are emitted as suppressed results so the full
   audit trail survives the export.

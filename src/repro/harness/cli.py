@@ -34,9 +34,9 @@ instrumented run with the seeded NAND fault model switched on
 the report includes the ``faults.*`` counters.  ``--sanitize`` attaches
 the runtime :class:`~repro.analysis.Sanitizer` to the ``stats`` /
 ``faults`` run (invariant checks on every event, grant, mapping op and GC
-pass).  ``lint`` runs the repro domain lints — per-file R001-R004 plus the
-whole-program rules R005-R007 (seed provenance, pool safety, schema
-round-trip) — and forwards its arguments to ``python -m repro.analysis``
+pass).  ``lint`` runs the repro domain lints — per-file R001-R004 and R007
+(schema stamps) plus the whole-program rules R005-R006 (seed provenance,
+pool safety) — and forwards its arguments to ``python -m repro.analysis``
 (``--json`` / ``--sarif`` / ``--changed`` / ``--baseline`` included).
 ``explain`` reconstructs the run-level critical path of a seeded
 scenario (:mod:`repro.harness.scenarios`) and sweeps exact

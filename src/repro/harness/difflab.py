@@ -61,9 +61,9 @@ def _parse_scale(spec: str) -> tuple[str, float]:
 def _critpath_doc(doc: dict, path: str) -> dict:
     """Accept a raw critpath report or an explain document wrapping one."""
     if "critpath" in doc and "schema_version" in doc:
-        from .explain import load_explain
+        from .explain import EXPLAIN_SCHEMA
 
-        return load_explain(doc)["critpath"]
+        return EXPLAIN_SCHEMA.load(doc)["critpath"]
     return doc
 
 
@@ -341,10 +341,11 @@ def main(argv: list[str] | None = None) -> int:
     else:
         print(_render(report))
     if args.out:
-        from ..obs.diff import write_diff
+        from ..obs.diff import load_diff
+        from ..schema import write_json
 
         try:
-            write_diff(report, args.out)
+            write_json(load_diff(report), args.out)
         except OSError as exc:
             print(f"repro diff: cannot write {args.out}: {exc}",
                   file=sys.stderr)

@@ -284,10 +284,10 @@ def main(argv: list[str] | None = None) -> int:
         sanitize=args.sanitize,
     )
     if args.out:
+        from ..schema import write_json
+
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            write_json(report, args.out)
         except OSError as exc:
             print(f"repro drift: cannot write {args.out}: {exc}",
                   file=sys.stderr)

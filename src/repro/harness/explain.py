@@ -25,57 +25,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
+
+from ..schema import Schema, write_json
 
 __all__ = [
-    "EXPLAIN_SCHEMA_VERSION",
+    "EXPLAIN_SCHEMA",
     "explain_scenario",
-    "load_explain",
     "main",
 ]
 
-#: Bump when the document layout changes shape.
-EXPLAIN_SCHEMA_VERSION = 1
-
-#: top-level fields of the explain document ("whatif"/"sanitizer" are
-#: present only when those passes ran; R007 round-trip contract)
-_EXPLAIN_FIELDS = frozenset({
-    "schema_version", "scenario", "quick", "requests", "makespan_us",
-    "total_latency_us", "summary", "critpath", "decisions", "whatif",
-    "sanitizer",
-})
-
-#: fields that must be present in every document (no optional passes)
-_EXPLAIN_REQUIRED = frozenset({
-    "schema_version", "scenario", "quick", "requests", "makespan_us",
-    "total_latency_us", "summary", "critpath", "decisions",
-})
-
-
-def load_explain(doc: dict) -> dict:
-    """Validate a saved explain document (round-trip reader).
-
-    Refuses schema_version mismatches, unknown top-level fields, and
-    documents missing the always-present core fields.
-    """
-    if doc.get("schema_version") != EXPLAIN_SCHEMA_VERSION:
-        raise ValueError(
-            f"explain document has schema_version "
-            f"{doc.get('schema_version')!r}; this tool reads version "
-            f"{EXPLAIN_SCHEMA_VERSION}"
-        )
-    public = {key for key in doc if not key.startswith("_")}
-    missing = _EXPLAIN_REQUIRED - public
-    if missing:
-        raise ValueError(
-            f"explain document is missing fields: {sorted(missing)}"
-        )
-    unknown = public - _EXPLAIN_FIELDS
-    if unknown:
-        raise ValueError(
-            f"explain document has unknown fields: {sorted(unknown)}"
-        )
-    return doc
+#: the explain document ("whatif"/"sanitizer" are present only when
+#: those passes ran)
+EXPLAIN_SCHEMA = Schema(
+    "explain document",
+    1,
+    required=(
+        "scenario", "quick", "requests", "makespan_us", "total_latency_us",
+        "summary", "critpath", "decisions",
+    ),
+    optional=("whatif", "sanitizer"),
+)
 
 
 def explain_scenario(
@@ -123,8 +92,7 @@ def explain_scenario(
         tolerance_us=tolerance_us,
         sanitizer=sanitizer,
     )
-    doc: dict = {
-        "schema_version": EXPLAIN_SCHEMA_VERSION,
+    fields: dict = {
         "scenario": name,
         "quick": quick,
         "requests": len(requests),
@@ -138,12 +106,12 @@ def explain_scenario(
         wreport = run_whatif(
             requests, cfg, sets, faults=faults, baseline=result, log=log,
         )
-        doc["whatif"] = wreport.to_dict()
-        doc["_whatif_report"] = wreport
+        fields["whatif"] = wreport.to_dict()
+        fields["_whatif_report"] = wreport
     if sanitizer is not None:
-        doc["sanitizer"] = sanitizer.stats()
-    doc["_critpath_report"] = report
-    return doc
+        fields["sanitizer"] = sanitizer.stats()
+    fields["_critpath_report"] = report
+    return EXPLAIN_SCHEMA.stamp(**fields)
 
 
 def _render(doc: dict, top: int) -> str:
@@ -234,12 +202,7 @@ def main(argv: list[str] | None = None) -> int:
         print(text)
     if args.out:
         try:
-            path = Path(args.out)
-            if path.parent != Path(""):
-                path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            write_json(doc, args.out)
         except OSError as exc:
             print(f"repro explain: cannot write {args.out}: {exc}",
                   file=sys.stderr)

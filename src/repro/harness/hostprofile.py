@@ -33,44 +33,24 @@ import sys
 import time
 from pathlib import Path
 
+from ..schema import Schema, write_json
+
 __all__ = [
-    "HOTPATH_SCHEMA_VERSION",
+    "HOTPATH_SCHEMA",
     "profile_scenario",
-    "load_profile",
     "collapsed_stacks",
     "main",
 ]
 
-#: Bump when the document layout changes shape.
-HOTPATH_SCHEMA_VERSION = 1
-
-#: top-level fields of the hot-path report (R007 round-trip contract
-#: with profile_scenario; hotpath_baseline.json diffs rely on these)
-_HOTPATH_FIELDS = frozenset({
-    "schema_version", "scenario", "kind", "quick", "requests", "wall_s",
-    "sim_makespan_us", "total_calls", "total_tottime_s", "top_by_tottime",
-    "top_by_cumtime",
-})
-
-
-def load_profile(doc: dict) -> dict:
-    """Validate a hot-path report document (round-trip reader).
-
-    The vectorization PR diffs new reports against the pinned baseline;
-    this refuses version mismatches and truncated documents first.
-    """
-    if doc.get("schema_version") != HOTPATH_SCHEMA_VERSION:
-        raise ValueError(
-            f"hot-path report has schema_version "
-            f"{doc.get('schema_version')!r}; this tool reads version "
-            f"{HOTPATH_SCHEMA_VERSION}"
-        )
-    missing = _HOTPATH_FIELDS - set(doc)
-    if missing:
-        raise ValueError(
-            f"hot-path report is missing fields: {sorted(missing)}"
-        )
-    return doc
+#: the hot-path report (hotpath_baseline.json diffs rely on these fields)
+HOTPATH_SCHEMA = Schema(
+    "hot-path report",
+    1,
+    required=(
+        "scenario", "kind", "quick", "requests", "wall_s", "sim_makespan_us",
+        "total_calls", "total_tottime_s", "top_by_tottime", "top_by_cumtime",
+    ),
+)
 
 #: path prefixes stripped from file names in reports, longest first
 _REPO_ROOT = Path(__file__).resolve().parents[3]
@@ -170,20 +150,25 @@ def profile_scenario(
     wall_s = time.perf_counter() - t0_s
 
     stats = pstats.Stats(profiler)
-    report = {
-        "schema_version": HOTPATH_SCHEMA_VERSION,
-        "scenario": name,
-        "kind": kind,
-        "quick": quick,
-        "requests": len(requests),
-        "wall_s": wall_s,
-        "sim_makespan_us": result.makespan_us,
-        "total_calls": stats.total_calls,  # type: ignore[attr-defined]
-        "total_tottime_s": stats.total_tt,  # type: ignore[attr-defined]
-        "top_by_tottime": _entries(stats, key="tottime_s", top=top),
-        "top_by_cumtime": _entries(stats, key="cumtime_s", top=top),
-    }
+    report = HOTPATH_SCHEMA.stamp(
+        scenario=name,
+        kind=kind,
+        quick=quick,
+        requests=len(requests),
+        wall_s=wall_s,
+        sim_makespan_us=result.makespan_us,
+        total_calls=stats.total_calls,  # type: ignore[attr-defined]
+        total_tottime_s=stats.total_tt,  # type: ignore[attr-defined]
+        top_by_tottime=_entries(stats, key="tottime_s", top=top),
+        top_by_cumtime=_entries(stats, key="cumtime_s", top=top),
+    )
     return report, stats
+
+
+def _write_collapsed(stats: pstats.Stats, path) -> None:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(collapsed_stacks(stats)) + "\n", encoding="utf-8")
 
 
 def _render(report: dict) -> str:
@@ -268,19 +253,13 @@ def main(argv: list[str] | None = None) -> int:
     else:
         print(_render(report))
     for path, writer in (
-        (args.out, lambda fh: (json.dump(report, fh, indent=2, sort_keys=True),
-                               fh.write("\n"))),
-        (args.collapsed,
-         lambda fh: fh.write("\n".join(collapsed_stacks(stats)) + "\n")),
+        (args.out, lambda: write_json(report, args.out)),
+        (args.collapsed, lambda: _write_collapsed(stats, args.collapsed)),
     ):
         if not path:
             continue
         try:
-            parent = Path(path).parent
-            if parent != Path(""):
-                parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "w", encoding="utf-8") as fh:
-                writer(fh)
+            writer()
         except OSError as exc:
             print(f"repro profile: cannot write {path}: {exc}", file=sys.stderr)
             return 2

@@ -47,13 +47,11 @@ from .attribution import (
 )
 from .chrometrace import to_chrome_trace, write_chrome_trace
 from .critpath import (
-    CRITPATH_SCHEMA_VERSION,
     BottleneckReport,
     CritPathError,
     extract_critical_path,
 )
 from .diff import (
-    DIFF_SCHEMA_VERSION,
     DiffError,
     build_diff_report,
     diff_critpath_docs,
@@ -61,10 +59,8 @@ from .diff import (
     diff_run,
     diff_traces,
     load_diff,
-    write_diff,
 )
 from .fleet import (
-    FLEET_SCHEMA_VERSION,
     FleetObserver,
     FleetRegistry,
     FleetSloAlert,
@@ -73,17 +69,15 @@ from .fleet import (
     device_health,
     load_fleet,
     merge_histograms,
-    write_fleet_report,
 )
-from .flightrecorder import FLIGHT_SCHEMA_VERSION, FlightRecorder
+from .flightrecorder import FlightRecorder
 from .profiler import UtilizationProfiler
 from .registry import DEFAULT_LATENCY_BUCKETS_US, Counter, Gauge, Histogram, MetricsRegistry, Series
 from .slo import SloAlert, SloSpec, SloSpecError, SloWatchdog
-from .telemetry import TELEMETRY_SCHEMA_VERSION, TelemetrySink
+from .telemetry import TelemetrySink
 from .trace import EVENT_NAMES, NULL_RECORDER, NullRecorder, TraceEvent, TraceRecorder, match_pairs
 from .whatif import (
     DEFAULT_COUNTERFACTUALS,
-    WHATIF_SCHEMA_VERSION,
     Counterfactual,
     WhatIfReport,
     WhatIfRow,
@@ -94,14 +88,11 @@ from .whatif import (
 __all__ = [
     "Observability",
     "TelemetrySink",
-    "TELEMETRY_SCHEMA_VERSION",
     "SloSpec",
     "SloSpecError",
     "SloAlert",
     "SloWatchdog",
     "FlightRecorder",
-    "FLIGHT_SCHEMA_VERSION",
-    "FLEET_SCHEMA_VERSION",
     "FleetObserver",
     "FleetRegistry",
     "FleetSloAlert",
@@ -110,7 +101,6 @@ __all__ = [
     "device_health",
     "load_fleet",
     "merge_histograms",
-    "write_fleet_report",
     "AttributionCollector",
     "AttributionError",
     "LatencyBreakdown",
@@ -121,14 +111,12 @@ __all__ = [
     "BottleneckReport",
     "CritPathError",
     "extract_critical_path",
-    "CRITPATH_SCHEMA_VERSION",
     "Counterfactual",
     "DEFAULT_COUNTERFACTUALS",
     "WhatIfReport",
     "WhatIfRow",
     "run_whatif",
     "explain_decisions",
-    "WHATIF_SCHEMA_VERSION",
     "MetricsRegistry",
     "Counter",
     "Gauge",
@@ -144,7 +132,6 @@ __all__ = [
     "UtilizationProfiler",
     "to_chrome_trace",
     "write_chrome_trace",
-    "DIFF_SCHEMA_VERSION",
     "DiffError",
     "build_diff_report",
     "diff_critpath_docs",
@@ -152,7 +139,6 @@ __all__ = [
     "diff_run",
     "diff_traces",
     "load_diff",
-    "write_diff",
 ]
 
 
@@ -287,11 +273,7 @@ class Observability:
         if self.attribution is not None:
             out["attribution"] = self.attribution.breakdown().to_dict()
         if self.telemetry is not None:
-            out["telemetry"] = {
-                "schema_version": TELEMETRY_SCHEMA_VERSION,
-                "interval_us": self.telemetry.interval_us,
-                "windows": len(self.telemetry.windows),
-            }
+            out["telemetry"] = self.telemetry.header()
         if self.slo is not None:
             out["slo"] = self.slo.summary()
         if self.flight_recorder is not None and self.flight_recorder.bundles:

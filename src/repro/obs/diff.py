@@ -40,30 +40,28 @@ over the same inputs produce identical bytes (asserted in CI).
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
+from ..schema import Schema
 
 __all__ = [
-    "DIFF_SCHEMA_VERSION",
+    "DIFF_SCHEMA",
     "DiffError",
     "build_diff_report",
     "load_diff",
-    "write_diff",
     "diff_traces",
     "diff_critpath_docs",
     "diff_fleet_devices",
     "diff_run",
 ]
 
-#: Bump when the report document layout changes shape.
-DIFF_SCHEMA_VERSION = 1
-
-#: top-level fields of every diff report (R007 round-trip contract —
-#: :func:`build_diff_report` writes them, :func:`load_diff` checks them)
-_DIFF_FIELDS = frozenset({
-    "schema_version", "kind", "label_a", "label_b", "identical",
-    "divergences", "regressions", "sections",
-})
+#: every diff report, whichever comparators filled its sections
+DIFF_SCHEMA = Schema(
+    "diff report",
+    1,
+    required=(
+        "kind", "label_a", "label_b", "identical", "divergences",
+        "regressions", "sections",
+    ),
+)
 
 #: report kinds the CLI and the loaders accept
 _DIFF_KINDS = frozenset({"run", "trace", "critpath", "fleet"})
@@ -102,51 +100,30 @@ def build_diff_report(
         )
     if not sections:
         raise ValueError("a diff report needs at least one section")
-    return {
-        "schema_version": DIFF_SCHEMA_VERSION,
-        "kind": kind,
-        "label_a": label_a,
-        "label_b": label_b,
-        "identical": all(s.get("identical", False) for s in sections.values()),
-        "divergences": sum(s.get("divergences", 0) for s in sections.values()),
-        "regressions": sum(s.get("regressions", 0) for s in sections.values()),
-        "sections": dict(sections),
-    }
+    return DIFF_SCHEMA.stamp(
+        kind=kind,
+        label_a=label_a,
+        label_b=label_b,
+        identical=all(s.get("identical", False) for s in sections.values()),
+        divergences=sum(s.get("divergences", 0) for s in sections.values()),
+        regressions=sum(s.get("regressions", 0) for s in sections.values()),
+        sections=dict(sections),
+    )
 
 
-def load_diff(doc: dict, *, side: str = "diff") -> dict:
+def load_diff(doc: dict) -> dict:
     """Validate a diff report produced by :func:`build_diff_report`.
 
-    The round-trip reader for the diff schema: refuses version
-    mismatches, truncated documents, unknown kinds, and empty section
-    maps, so forensics tooling never interprets half a report.
+    Beyond the :data:`DIFF_SCHEMA` checks, refuses unknown kinds and
+    empty section maps, so forensics tooling never interprets half a
+    report.
     """
-    if doc.get("schema_version") != DIFF_SCHEMA_VERSION:
-        raise ValueError(
-            f"{side} report has schema_version "
-            f"{doc.get('schema_version')!r}; this tool expects "
-            f"{DIFF_SCHEMA_VERSION}"
-        )
-    missing = _DIFF_FIELDS - set(doc)
-    if missing:
-        raise ValueError(f"{side} report is missing fields: {sorted(missing)}")
+    DIFF_SCHEMA.load(doc)
     if doc["kind"] not in _DIFF_KINDS:
-        raise ValueError(f"{side} report has unknown kind {doc['kind']!r}")
+        raise ValueError(f"diff report has unknown kind {doc['kind']!r}")
     if not isinstance(doc["sections"], dict) or not doc["sections"]:
-        raise ValueError(f"{side} report has no sections")
+        raise ValueError("diff report has no sections")
     return doc
-
-
-def write_diff(doc: dict, path) -> Path:
-    """Serialise a validated report deterministically (sorted keys)."""
-    load_diff(doc)
-    path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
 
 
 # ----------------------------------------------------------------------
@@ -294,17 +271,17 @@ def diff_traces(events_a, events_b) -> dict:
 def diff_critpath_docs(doc_a: dict, doc_b: dict) -> dict:
     """Align two bottleneck reports by resource bucket; rank the shifts.
 
-    Both documents are validated with the critpath round-trip reader.
+    Both documents are validated against ``CRITPATH_SCHEMA``.
     Each resource's total on-critical-path time (device buckets plus the
     ``host`` / ``internal`` / ``residual`` pseudo-resources) is compared;
     the ranked ``shifts`` table answers "which resource's share of the
     makespan moved most", which is the resource-level form of "where did
     the regression go".
     """
-    from .critpath import load_report
+    from .critpath import CRITPATH_SCHEMA
 
     for doc in (doc_a, doc_b):
-        load_report(doc)
+        CRITPATH_SCHEMA.load(doc)
     totals: dict[str, list[float]] = {}
     for slot, doc in ((0, doc_a), (1, doc_b)):
         for name, row in doc["resources"].items():

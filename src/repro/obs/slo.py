@@ -33,17 +33,29 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 
+from ..schema import Schema
+
 __all__ = [
     "BurnWindow",
     "SloAlert",
     "SloSpec",
     "SloSpecError",
     "SloWatchdog",
-    "SLO_SCHEMA_VERSION",
+    "SLO_SCHEMA",
     "TENANT_TARGET_KEYS",
 ]
 
-SLO_SCHEMA_VERSION = 1
+#: a spec file; :meth:`SloSpec.from_dict` also accepts one without a
+#: ``schema_version`` and reports failures as :class:`SloSpecError` codes
+SLO_SCHEMA = Schema(
+    "SLO spec",
+    1,
+    required=("window_us",),
+    optional=(
+        "tenants", "failed_read_budget", "gc_stall_fraction",
+        "keeper_health_floor", "burn",
+    ),
+)
 
 #: recognised per-tenant latency targets -> allowed violation fraction
 TENANT_TARGET_KEYS: dict[str, float] = {
@@ -111,17 +123,14 @@ class SloSpec:
         """
         if not isinstance(data, dict):
             raise SloSpecError("bad-spec", "spec must be a JSON object")
-        version = data.get("schema_version", SLO_SCHEMA_VERSION)
-        if version != SLO_SCHEMA_VERSION:
+        version = data.get("schema_version", SLO_SCHEMA.version)
+        if version != SLO_SCHEMA.version:
             raise SloSpecError(
                 "bad-spec",
                 f"spec has schema_version {version!r}; this build reads "
-                f"version {SLO_SCHEMA_VERSION}",
+                f"version {SLO_SCHEMA.version}",
             )
-        unknown = set(data) - {
-            "schema_version", "window_us", "tenants", "failed_read_budget",
-            "gc_stall_fraction", "keeper_health_floor", "burn",
-        }
+        unknown = set(data) - SLO_SCHEMA.fields - {"schema_version"}
         if unknown:
             raise SloSpecError("bad-spec", f"unknown keys: {sorted(unknown)}")
         window_us = data.get("window_us")  # repro-lint: disable=R001 (spec field window_us is documented as microseconds)
@@ -200,18 +209,17 @@ class SloSpec:
         return cls.from_dict(data, known_tenants=known_tenants)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SLO_SCHEMA_VERSION,
-            "window_us": self.window_us,
-            "tenants": {str(w): dict(t) for w, t in self.tenants.items()},
-            "failed_read_budget": self.failed_read_budget,
-            "gc_stall_fraction": self.gc_stall_fraction,
-            "keeper_health_floor": self.keeper_health_floor,
-            "burn": {
+        return SLO_SCHEMA.stamp(
+            window_us=self.window_us,
+            tenants={str(w): dict(t) for w, t in self.tenants.items()},
+            failed_read_budget=self.failed_read_budget,
+            gc_stall_fraction=self.gc_stall_fraction,
+            keeper_health_floor=self.keeper_health_floor,
+            burn={
                 "fast": vars(self.fast).copy(),
                 "slow": vars(self.slow).copy(),
             },
-        }
+        )
 
 
 def _burn_window(raw, default: BurnWindow, label: str) -> BurnWindow:

@@ -21,38 +21,16 @@ from __future__ import annotations
 
 import json
 
+from ..schema import Schema
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
 
-__all__ = ["TelemetrySink", "TELEMETRY_SCHEMA_VERSION", "load_header"]
+__all__ = ["TelemetrySink", "TELEMETRY_SCHEMA"]
 
-#: bump when the window record layout changes
-TELEMETRY_SCHEMA_VERSION = 1
-
-#: fields of the stream header record (R007 round-trip contract with
-#: TelemetrySink.header; the obs export summary emits a subset)
-_HEADER_FIELDS = frozenset({
-    "kind", "schema_version", "interval_us", "windows", "channels", "dies",
-})
-
-
-def load_header(doc: dict) -> dict:
-    """Validate a telemetry stream header (round-trip reader).
-
-    The first line of a ``to_jsonl`` stream must parse to this record;
-    consumers call this before trusting any window line.
-    """
-    if doc.get("schema_version") != TELEMETRY_SCHEMA_VERSION:
-        raise ValueError(
-            f"telemetry header has schema_version "
-            f"{doc.get('schema_version')!r}; this tool reads version "
-            f"{TELEMETRY_SCHEMA_VERSION}"
-        )
-    missing = _HEADER_FIELDS - set(doc)
-    if missing and doc.get("kind") == "header":
-        raise ValueError(
-            f"telemetry header is missing fields: {sorted(missing)}"
-        )
-    return doc
+#: the stream header record; its ``"kind": "header"`` tag marks the
+#: record in the JSONL stream and is not a schema field
+TELEMETRY_SCHEMA = Schema(
+    "telemetry header", 1, required=("interval_us", "windows", "channels", "dies"),
+)
 
 
 class TelemetrySink:
@@ -196,11 +174,12 @@ class TelemetrySink:
         """The stream's schema-versioned header record."""
         return {
             "kind": "header",
-            "schema_version": TELEMETRY_SCHEMA_VERSION,
-            "interval_us": self.interval_us,
-            "windows": len(self.windows),
-            "channels": len(self._channels),
-            "dies": len(self._dies),
+            **TELEMETRY_SCHEMA.stamp(
+                interval_us=self.interval_us,
+                windows=len(self.windows),
+                channels=len(self._channels),
+                dies=len(self._dies),
+            ),
         }
 
     def to_jsonl(self) -> str:

@@ -33,9 +33,10 @@ the baseline being explained.
 
 from __future__ import annotations
 
+from ..schema import Schema
+
 __all__ = [
-    "WHATIF_SCHEMA_VERSION",
-    "load_report",
+    "WHATIF_SCHEMA",
     "Counterfactual",
     "DEFAULT_COUNTERFACTUALS",
     "WhatIfRow",
@@ -44,29 +45,10 @@ __all__ = [
     "explain_decisions",
 ]
 
-#: Bump when the report document layout changes shape.
-WHATIF_SCHEMA_VERSION = 1
-
-#: top-level fields of WhatIfReport.to_dict (R007 round-trip contract)
-_WHATIF_FIELDS = frozenset({
-    "schema_version", "requests", "baseline", "counterfactuals",
-})
-
-
-def load_report(doc: dict) -> dict:
-    """Validate a persisted what-if report (round-trip reader)."""
-    if doc.get("schema_version") != WHATIF_SCHEMA_VERSION:
-        raise ValueError(
-            f"what-if report has schema_version "
-            f"{doc.get('schema_version')!r}; this tool reads version "
-            f"{WHATIF_SCHEMA_VERSION}"
-        )
-    missing = _WHATIF_FIELDS - set(doc)
-    if missing:
-        raise ValueError(
-            f"what-if report is missing fields: {sorted(missing)}"
-        )
-    return doc
+#: WhatIfReport.to_dict
+WHATIF_SCHEMA = Schema(
+    "what-if report", 1, required=("requests", "baseline", "counterfactuals"),
+)
 
 
 class Counterfactual:
@@ -243,20 +225,19 @@ class WhatIfReport:
         return ranked[0] if ranked else None
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": WHATIF_SCHEMA_VERSION,
-            "requests": self.requests,
-            "baseline": {
+        return WHATIF_SCHEMA.stamp(
+            requests=self.requests,
+            baseline={
                 "total_latency_us": self.baseline_total_latency_us,
                 "makespan_us": self.baseline_makespan_us,
                 "mean_read_us": self.baseline_mean_read_us,
                 "mean_write_us": self.baseline_mean_write_us,
             },
-            "counterfactuals": [row.to_dict() for row in self.ranked()]
+            counterfactuals=[row.to_dict() for row in self.ranked()]
             + [
                 row.to_dict() for row in self.rows if row.status != "ok"
             ],
-        }
+        )
 
     def format(self) -> str:
         """Human-readable speedup table (embedded in ``repro explain``)."""

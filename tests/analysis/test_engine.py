@@ -149,10 +149,10 @@ class TestCLI:
         assert len(violation["fingerprint"]) == 16
 
     def test_json_round_trips_through_reader(self):
-        from repro.analysis.engine import load_report_dict
+        from repro.analysis.engine import REPORT_SCHEMA
 
         proc = _cli("--json", str(FIXTURES / "r004_scheduling.py"))
-        doc = load_report_dict(json.loads(proc.stdout))
+        doc = REPORT_SCHEMA.load(json.loads(proc.stdout))
         assert doc["counts"] == {"R004": 1}
 
     def test_select_flag(self):

@@ -207,13 +207,16 @@ class TestPoolSafety:
 
 
 class TestSchemaRoundTrip:
+    """R007: ``schema_version`` is written only through ``repro.schema``."""
+
     def test_writer_without_reader_flagged(self):
         (violation,) = LintEngine().lint_file(FIXTURES / "r007_schema.py")
         assert violation.rule == "R007"
-        assert "no paired reader" in violation.message
+        assert "repro.schema.Schema" in violation.message
 
-    def test_matched_writer_reader_pair_is_clean(self, tmp_path):
-        assert not _lint(
+    def test_hand_rolled_writer_reader_pair_flagged(self, tmp_path):
+        # a matching hand-written reader no longer excuses the writer
+        (violation,) = _lint(
             tmp_path,
             "DOC_SCHEMA_VERSION = 2\n"
             "_DOC_FIELDS = frozenset({'schema_version', 'items', 'count'})\n"
@@ -232,44 +235,58 @@ class TestSchemaRoundTrip:
             "    return doc\n",
             select=["R007"],
         )
+        assert violation.line == 5  # the writer's dict literal
 
-    def test_field_mismatch_flagged(self, tmp_path):
-        (violation,) = _lint(
+    def test_stamping_through_schema_is_clean(self, tmp_path):
+        assert not _lint(
             tmp_path,
-            "DOC_SCHEMA_VERSION = 2\n"
+            "from repro.schema import Schema\n"
+            "DOC_SCHEMA = Schema('doc', 2, required=('items', 'count'))\n"
             "def write(items):\n"
-            "    return {\n"
-            "        'schema_version': DOC_SCHEMA_VERSION,\n"
-            "        'items': items,\n"
-            "        'extra_field': 1,\n"
-            "    }\n"
+            "    return DOC_SCHEMA.stamp(items=items, count=len(items))\n"
             "def load(doc):\n"
-            "    if doc.get('schema_version') != DOC_SCHEMA_VERSION:\n"
-            "        raise ValueError('bad version')\n"
-            "    return doc['items']\n",
+            "    return DOC_SCHEMA.load(doc)['items']\n",
             select=["R007"],
         )
-        assert "field mismatch" in violation.message
-        assert "extra_field" in violation.message
+
+    def test_schema_module_is_exempt(self, tmp_path):
+        assert not _lint(
+            tmp_path,
+            "def stamp(fields):\n"
+            "    return {'schema_version': 1, **fields}\n",
+            module="repro.schema",
+            select=["R007"],
+        )
+
+    def test_field_mismatch_flagged(self):
+        # field agreement is a property of the declaration: both sides
+        # of every document check it at run time
+        from repro.schema import Schema
+
+        schema = Schema("doc", 2, required=("items",))
+        with pytest.raises(ValueError, match="extra_field"):
+            schema.stamp(items=[], extra_field=1)
+        with pytest.raises(ValueError, match="extra_field"):
+            schema.load({"schema_version": 2, "items": [], "extra_field": 1})
 
     def test_private_and_augmented_keys(self, tmp_path):
-        # doc['added'] = ... counts as a writer field; _private does not
-        violations = _lint(
+        # doc['schema_version'] = ... is a hand stamp; '_private' keys are
+        # carry-alongs the declaration passes through unchecked
+        from repro.schema import Schema
+
+        (violation,) = _lint(
             tmp_path,
-            "DOC_SCHEMA_VERSION = 1\n"
             "def write():\n"
-            "    doc = {'schema_version': DOC_SCHEMA_VERSION, '_private': 0}\n"
-            "    doc['added'] = 1\n"
-            "    return doc\n"
-            "def load(doc):\n"
-            "    if doc.get('schema_version') != DOC_SCHEMA_VERSION:\n"
-            "        raise ValueError('bad')\n"
+            "    doc = {'_private': 0}\n"
+            "    doc['schema_version'] = 1\n"
             "    return doc\n",
             select=["R007"],
         )
-        (violation,) = violations
-        assert "added" in violation.message
-        assert "_private" not in violation.message
+        assert violation.line == 4
+        stamped = Schema("doc", 1, required=("items",)).stamp(
+            items=[], _private=0,
+        )
+        assert stamped == {"schema_version": 1, "items": [], "_private": 0}
 
 
 class TestSrcClean:
@@ -286,7 +303,7 @@ class TestSrcClean:
 
 
 class TestSchemaReaders:
-    """The readers added for R007 actually validate (not just decoration)."""
+    """SloSpec.from_dict keeps its own version check and error codes."""
 
     def test_slo_spec_rejects_wrong_version(self):
         from repro.obs.slo import SloSpec, SloSpecError
@@ -297,35 +314,5 @@ class TestSchemaReaders:
         doc = spec.to_dict()
         again = SloSpec.from_dict(doc)
         assert again.to_dict() == doc
-
-    def test_critpath_whatif_telemetry_flight_readers(self, tmp_path):
-        import json
-
-        from repro.obs.critpath import load_report as load_critpath
-        from repro.obs.flightrecorder import (
-            FLIGHT_SCHEMA_VERSION, load_manifest,
-        )
-        from repro.obs.telemetry import load_header
-        from repro.obs.whatif import load_report as load_whatif
-
-        for loader in (load_critpath, load_whatif, load_header):
-            with pytest.raises(ValueError, match="schema_version"):
-                loader({"schema_version": 99})
-        manifest = {
-            "schema_version": FLIGHT_SCHEMA_VERSION,
-            "trigger": "test", "detail": "", "time_us": 0.0,
-            "context": {}, "replay": {}, "bundle_files": [],
-        }
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        assert load_manifest(tmp_path) == manifest
-
-    def test_explain_and_profile_readers(self):
-        from repro.harness.explain import load_explain
-        from repro.harness.hostprofile import load_profile
-
-        with pytest.raises(ValueError, match="schema_version"):
-            load_explain({"schema_version": 99})
-        with pytest.raises(ValueError, match="schema_version"):
-            load_profile({"schema_version": 99})
-        with pytest.raises(ValueError, match="missing"):
-            load_explain({"schema_version": 1})
+        # a hand-written spec may omit the version stamp
+        assert SloSpec.from_dict({"window_us": 100.0}).to_dict() == doc

@@ -11,7 +11,7 @@ import pytest
 
 from repro.analysis import lint_paths
 from repro.analysis.baseline import (
-    BASELINE_SCHEMA_VERSION,
+    BASELINE_SCHEMA,
     apply_baseline,
     load_baseline,
     stale_entries,
@@ -127,7 +127,7 @@ class TestBaseline:
         count = write_baseline(report, target)
         assert count == 1
         doc = load_baseline(target)
-        assert doc["schema_version"] == BASELINE_SCHEMA_VERSION
+        assert doc["schema_version"] == BASELINE_SCHEMA.version
         suppressed = apply_baseline(report, doc)
         assert suppressed.ok
         assert len(suppressed.baselined) == 1

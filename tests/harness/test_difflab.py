@@ -10,20 +10,19 @@ from repro.obs.diff import load_diff
 
 
 def make_critpath(service_us=30.0, *, makespan_us=100.0):
-    from repro.obs.critpath import CRITPATH_SCHEMA_VERSION
+    from repro.obs.critpath import CRITPATH_SCHEMA
 
-    return {
-        "schema_version": CRITPATH_SCHEMA_VERSION,
-        "makespan_us": makespan_us,
-        "critical_requests": 1,
-        "host_gap_us": 0.0,
-        "internal_tail_us": 0.0,
-        "residual_us": 0.0,
-        "resources": {"ch0": {"service_us": service_us}},
-        "phase_totals_us": {},
-        "ranked": [{"resource": "ch0", "total_us": service_us}],
-        "steps": [],
-    }
+    return CRITPATH_SCHEMA.stamp(
+        makespan_us=makespan_us,
+        critical_requests=1,
+        host_gap_us=0.0,
+        internal_tail_us=0.0,
+        residual_us=0.0,
+        resources={"ch0": {"service_us": service_us}},
+        phase_totals_us={},
+        ranked=[{"resource": "ch0", "total_us": service_us}],
+        steps=[],
+    )
 
 
 def write_json(path, doc):
@@ -84,14 +83,11 @@ class TestCritpathMode:
         assert "ch0 moved +50.0us" in capsys.readouterr().out
 
     def test_accepts_explain_documents(self, tmp_path, capsys):
-        from repro.harness.explain import _EXPLAIN_REQUIRED
+        from repro.harness.explain import EXPLAIN_SCHEMA
 
         def explain_doc(service_us, makespan_us):
-            from repro.harness.explain import EXPLAIN_SCHEMA_VERSION
-
-            doc = {field: None for field in _EXPLAIN_REQUIRED}
-            doc.update({
-                "schema_version": EXPLAIN_SCHEMA_VERSION,
+            fields = {field: None for field in EXPLAIN_SCHEMA.required}
+            fields.update({
                 "scenario": "mix2_shared",
                 "quick": True,
                 "requests": 600,
@@ -100,7 +96,7 @@ class TestCritpathMode:
                 "summary": "test",
                 "critpath": make_critpath(service_us, makespan_us=makespan_us),
             })
-            return doc
+            return EXPLAIN_SCHEMA.stamp(**fields)
 
         a = write_json(tmp_path / "a.json", explain_doc(30.0, 100.0))
         b = write_json(tmp_path / "b.json", explain_doc(20.0, 90.0))

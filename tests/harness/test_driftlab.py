@@ -84,6 +84,8 @@ class TestDriftCli:
             main(["drift", "--scenario", "nope"])
 
     def test_unwritable_out_path(self, capsys, tmp_path):
-        target = tmp_path / "missing" / "report.json"
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory\n")
+        target = blocker / "report.json"
         assert main(["drift", "--quick", "--out", str(target)]) == 2
         assert "cannot write" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.harness.explain import EXPLAIN_SCHEMA_VERSION, explain_scenario, main
+from repro.harness.explain import EXPLAIN_SCHEMA, explain_scenario, main
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +16,7 @@ def gc_heavy_doc():
 class TestExplainScenario:
     def test_document_shape(self, gc_heavy_doc):
         doc = gc_heavy_doc
-        assert doc["schema_version"] == EXPLAIN_SCHEMA_VERSION
+        assert doc["schema_version"] == EXPLAIN_SCHEMA.version
         assert doc["scenario"] == "gc_heavy"
         assert doc["quick"] is True
         assert doc["requests"] == 600
@@ -68,7 +68,7 @@ class TestMain:
         doc = json.loads(printed[: printed.rindex("}") + 1])
         assert doc["critpath"]["critical_requests"] > 0
         on_disk = json.loads(out.read_text())
-        assert on_disk["schema_version"] == EXPLAIN_SCHEMA_VERSION
+        assert on_disk["schema_version"] == EXPLAIN_SCHEMA.version
         assert "_critpath_report" not in on_disk  # objects never serialized
 
     def test_table_output(self, capsys):

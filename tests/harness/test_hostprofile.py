@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.harness.hostprofile import (
-    HOTPATH_SCHEMA_VERSION,
+    HOTPATH_SCHEMA,
     collapsed_stacks,
     main,
     profile_scenario,
@@ -20,7 +20,7 @@ def gc_heavy_profile():
 class TestProfileScenario:
     def test_report_shape(self, gc_heavy_profile):
         report, _stats = gc_heavy_profile
-        assert report["schema_version"] == HOTPATH_SCHEMA_VERSION
+        assert report["schema_version"] == HOTPATH_SCHEMA.version
         assert report["scenario"] == "gc_heavy"
         assert report["kind"] == "simulator"
         assert report["requests"] == 600
@@ -78,7 +78,7 @@ class TestMain:
         ])
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == HOTPATH_SCHEMA_VERSION
+        assert doc["schema_version"] == HOTPATH_SCHEMA.version
         assert len(doc["top_by_tottime"]) == 5
         assert folded.read_text().strip()
 

@@ -79,6 +79,16 @@ class TestZeroPerturbation:
             w["counters"].get("sim.requests", 0) for w in windows
         ) == result.requests
 
+    def test_export_telemetry_section_is_the_stream_header(self):
+        requests, config, sets, faults = gc_fault_scenario()
+        obs = Observability(telemetry=500.0)
+        simulate(requests, config, sets, obs=obs, faults=faults)
+        section = obs.export()["telemetry"]
+        assert section == obs.telemetry.header()
+        assert section["kind"] == "header"
+        assert section["windows"] == len(obs.telemetry.windows) > 0
+        assert section["channels"] == config.channels
+
 
 class TestTightSloPages:
     def test_page_alert_and_bundle_fire_deterministically(self, tmp_path):

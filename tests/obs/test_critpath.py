@@ -7,7 +7,7 @@ import pytest
 from repro.analysis import Sanitizer, SanitizerError
 from repro.obs.attribution import RequestAttribution
 from repro.obs.critpath import (
-    CRITPATH_SCHEMA_VERSION,
+    CRITPATH_SCHEMA,
     BottleneckReport,
     CritPathError,
     extract_critical_path,
@@ -174,7 +174,7 @@ class TestReportShape:
     def test_to_dict_schema(self):
         records = [rec(0, "read", 3, 7, 0.0, die_us=20.0, bus_us=40.0)]
         doc = extract_critical_path(records, 60.0).to_dict()
-        assert doc["schema_version"] == CRITPATH_SCHEMA_VERSION
+        assert doc["schema_version"] == CRITPATH_SCHEMA.version
         assert doc["makespan_us"] == 60.0
         assert doc["critical_requests"] == 1
         assert "die7" in doc["resources"]

@@ -6,9 +6,9 @@ import json
 import pytest
 
 from repro.harness.scenarios import SCENARIOS
-from repro.obs.critpath import CRITPATH_SCHEMA_VERSION
+from repro.obs.critpath import CRITPATH_SCHEMA
 from repro.obs.diff import (
-    DIFF_SCHEMA_VERSION,
+    DIFF_SCHEMA,
     DiffError,
     build_diff_report,
     diff_critpath_docs,
@@ -16,8 +16,8 @@ from repro.obs.diff import (
     diff_run,
     diff_traces,
     load_diff,
-    write_diff,
 )
+from repro.schema import write_json
 
 
 # ----------------------------------------------------------------------
@@ -26,21 +26,20 @@ from repro.obs.diff import (
 def make_critpath(resources, *, makespan_us=100.0, host=0.0, internal=0.0,
                   residual=0.0):
     ranked = sorted(resources, key=lambda n: -sum(resources[n].values()))
-    return {
-        "schema_version": CRITPATH_SCHEMA_VERSION,
-        "makespan_us": makespan_us,
-        "critical_requests": 1,
-        "host_gap_us": host,
-        "internal_tail_us": internal,
-        "residual_us": residual,
-        "resources": {name: dict(row) for name, row in resources.items()},
-        "phase_totals_us": {},
-        "ranked": [
+    return CRITPATH_SCHEMA.stamp(
+        makespan_us=makespan_us,
+        critical_requests=1,
+        host_gap_us=host,
+        internal_tail_us=internal,
+        residual_us=residual,
+        resources={name: dict(row) for name, row in resources.items()},
+        phase_totals_us={},
+        ranked=[
             {"resource": name, "total_us": sum(resources[name].values())}
             for name in ranked
         ],
-        "steps": [],
-    }
+        steps=[],
+    )
 
 
 def ev(ts_us, name, track="", dur_us=None, args=None):
@@ -87,7 +86,7 @@ class TestReportSchema:
     def test_build_and_load_round_trip(self):
         report = build_diff_report("trace", "a", "b", {"trace": self.section()})
         loaded = load_diff(report)
-        assert loaded["schema_version"] == DIFF_SCHEMA_VERSION
+        assert loaded["schema_version"] == DIFF_SCHEMA.version
         assert loaded["identical"] is True
 
     def test_rollups_aggregate_over_sections(self):
@@ -130,8 +129,8 @@ class TestReportSchema:
         report = build_diff_report("run", "a", "b", {
             "metrics": self.section(identical=False, divergences=1),
         })
-        p1 = write_diff(report, tmp_path / "one.json")
-        p2 = write_diff(report, tmp_path / "two.json")
+        p1 = write_json(load_diff(report), tmp_path / "one.json")
+        p2 = write_json(load_diff(report), tmp_path / "two.json")
         assert p1.read_bytes() == p2.read_bytes()
         assert load_diff(json.loads(p1.read_text()))["divergences"] == 1
 
@@ -305,7 +304,7 @@ class TestRunDiff:
         assert self_report["sections"]["critpath"]["top_shift"] is None
 
     def test_self_diff_validates_and_serialises(self, self_report, tmp_path):
-        path = write_diff(load_diff(self_report), tmp_path / "self.json")
+        path = write_json(load_diff(self_report), tmp_path / "self.json")
         assert json.loads(path.read_text())["kind"] == "run"
 
     def test_scaled_knob_localizes_first_divergence(self, scaled_report):

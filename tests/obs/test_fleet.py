@@ -5,18 +5,18 @@ import json
 import pytest
 
 from repro.obs.fleet import (
-    FLEET_SCHEMA_VERSION,
+    FLEET_SCHEMA,
     FleetRegistry,
     FleetSloRollup,
     build_fleet_report,
     device_health,
     load_fleet,
     merge_histograms,
-    write_fleet_report,
 )
 from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.slo import SloSpec, SloWatchdog
 from repro.obs.trace import TraceRecorder
+from repro.schema import write_json
 
 BOUNDS = [10.0, 100.0, 1000.0]
 
@@ -242,9 +242,9 @@ class TestFleetReportRoundTrip:
     def test_round_trip(self, tmp_path):
         doc = self.minimal_report()
         path = tmp_path / "fleet_report.json"
-        write_fleet_report(doc, path)
+        write_json(load_fleet(doc), path)
         loaded = load_fleet(json.loads(path.read_text()))
-        assert loaded["schema_version"] == FLEET_SCHEMA_VERSION
+        assert loaded["schema_version"] == FLEET_SCHEMA.version
         assert loaded["seed"] == 7
         assert loaded["migrations"][0]["span_us"] == pytest.approx(2.5)
 
@@ -275,6 +275,6 @@ class TestFleetReportRoundTrip:
     def test_write_is_deterministic(self, tmp_path):
         doc = self.minimal_report()
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        write_fleet_report(doc, p1)
-        write_fleet_report(self.minimal_report(), p2)
+        write_json(load_fleet(doc), p1)
+        write_json(load_fleet(self.minimal_report()), p2)
         assert p1.read_bytes() == p2.read_bytes()

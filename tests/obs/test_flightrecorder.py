@@ -3,11 +3,11 @@
 import json
 
 from repro.obs import (
-    FLIGHT_SCHEMA_VERSION,
     FlightRecorder,
     Observability,
     SloSpec,
 )
+from repro.obs.flightrecorder import FLIGHT_SCHEMA
 
 REQUIRED_MANIFEST_KEYS = {
     "schema_version", "trigger", "detail", "time_us", "context",
@@ -28,7 +28,7 @@ class TestBareDump:
         assert bundle == tmp_path / "bundle-00-slo-page"
         manifest = read_json(bundle / "manifest.json")
         assert REQUIRED_MANIFEST_KEYS <= set(manifest)
-        assert manifest["schema_version"] == FLIGHT_SCHEMA_VERSION
+        assert manifest["schema_version"] == FLIGHT_SCHEMA.version
         assert manifest["trigger"] == "slo-page"
         assert manifest["detail"] == "tenant0.read_p95_us"
         assert manifest["time_us"] == 123.0

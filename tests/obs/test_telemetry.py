@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.obs import MetricsRegistry, TelemetrySink, TELEMETRY_SCHEMA_VERSION
+from repro.obs import MetricsRegistry, TelemetrySink
+from repro.obs.telemetry import TELEMETRY_SCHEMA
 from repro.ssd.engine import EventLoop, Resource
 
 
@@ -115,7 +116,7 @@ class TestJsonl:
         lines = path.read_text().strip().splitlines()
         header = json.loads(lines[0])
         assert header["kind"] == "header"
-        assert header["schema_version"] == TELEMETRY_SCHEMA_VERSION
+        assert header["schema_version"] == TELEMETRY_SCHEMA.version
         assert header["windows"] == written == len(lines) - 1
         seqs = [json.loads(line)["seq"] for line in lines[1:]]
         assert seqs == list(range(len(seqs)))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.obs.whatif import (
     DEFAULT_COUNTERFACTUALS,
-    WHATIF_SCHEMA_VERSION,
+    WHATIF_SCHEMA,
     Counterfactual,
     WhatIfReport,
     WhatIfRow,
@@ -189,7 +189,7 @@ class TestRunWhatif:
                                knob="read_latency", factor=0.5),
             ],
         ).to_dict()
-        assert doc["schema_version"] == WHATIF_SCHEMA_VERSION
+        assert doc["schema_version"] == WHATIF_SCHEMA.version
         assert doc["baseline"]["total_latency_us"] > 0
         assert doc["counterfactuals"][0]["name"] == "tR_half"
         assert "speedup" in doc["counterfactuals"][0]
