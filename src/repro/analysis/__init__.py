@@ -2,7 +2,7 @@
 
 The reproduction's credibility rests on invariants the test suite only
 samples: microsecond-unit consistency across the timing layers, seeded
-determinism of the DES and fault injector, the opt-in (``obs=None`` /
+determinism of the DES and fault injector, the opt-in (``probe=None`` /
 ``faults=None``) hot-path cost contract, and the FTL capacity conservation
 law.  This package machine-checks them, twice over:
 
@@ -19,7 +19,7 @@ law.  This package machine-checks them, twice over:
     (``time.time()``), no bare set iteration, and no dict iteration
     feeding event ordering inside ``repro.ssd`` / ``repro.core``.
   - **R003 opt-in purity** — code under ``repro.ssd`` / ``repro.core``
-    may not touch ``obs.*`` / ``faults.*`` / ``sanitizer.*`` without a
+    may not touch ``probe.*`` / ``faults.*`` / ``obs.*`` without a
     ``None``-guard (preserving the disabled-hot-path cost contract).
   - **R004 event-loop discipline** — every ``loop.schedule(when, ...)``
     must pass a ``when`` anchored to an absolute simulated time
@@ -30,8 +30,9 @@ law.  This package machine-checks them, twice over:
       risky_call()  # repro-lint: disable=R002 (seeded upstream by run())
 
 * **runtime sanitizer** (:mod:`repro.analysis.sanitizer`) — an opt-in
-  :class:`Sanitizer` threaded like ``obs`` / ``faults`` through the event
-  loop, resources, controller, mapping and GC, asserting event-time
+  :class:`Sanitizer`, a device probe (pass it as ``obs=``, alone or via
+  :func:`repro.ssd.probes`) armed in the event loop, resources,
+  controller, mapping and GC, asserting event-time
   monotonicity, channel/die mutual exclusion, mapping-table bijectivity
   and capacity conservation on every step; violations raise
   :class:`SanitizerError` with a trace-correlated report.

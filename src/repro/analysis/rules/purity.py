@@ -1,15 +1,17 @@
-"""R003 — opt-in purity of observability/fault/sanitizer hooks.
+"""R003 — opt-in purity of the device probe and the fault model.
 
-PRs 1–3 thread ``obs`` / ``faults`` / ``sanitizer`` through the hot path
-as *opt-in* collaborators: every component stores them as attributes
-defaulting to ``None`` and the disabled cost is exactly one
-``is not None`` branch per hook site.  That contract dies the first time
-somebody writes ``self.obs.counter(...)`` unguarded — the simulator then
-crashes with ``AttributeError`` the moment observability is off, and the
-"pay only when enabled" property silently became "always required".
+The device stack has two *opt-in* collaborators, both defaulting to
+``None``: the probe (one observer handle per component, see
+:mod:`repro.ssd.probe`) and the fault injector.  The keeper in
+``repro.core`` also logs decisions through its own ``obs`` bundle.  The
+disabled cost is one ``is not None`` branch per site, and that contract
+dies the first time somebody writes ``self.probe.hook(...)`` or
+``self.obs.registry`` unguarded — the simulator then crashes with
+``AttributeError`` the moment observation is off, and "pay only when
+enabled" silently became "always required".
 
-R003 flags every ``obs.* `` / ``faults.*`` / ``sanitizer.*`` attribute
-access (on a bare name or a ``self.``-attribute) inside ``repro.ssd`` /
+R003 flags every ``probe.*`` / ``faults.*`` / ``obs.*`` attribute access
+(on a bare name or a ``self.``-attribute) inside ``repro.ssd`` /
 ``repro.core`` that is not dominated by a ``None``-guard.  Recognised
 guards, checked on enclosing context:
 
@@ -32,8 +34,8 @@ __all__ = ["OptInPurityRule"]
 
 #: attribute roots that must be None-guarded
 _GUARDED_ROOTS = frozenset({
-    "obs", "faults", "sanitizer", "attribution",
-    "_obs", "_faults", "_sanitizer", "_attribution",
+    "probe", "faults", "obs",
+    "_probe", "_faults", "_obs",
 })
 
 
@@ -86,27 +88,14 @@ def _terminates(body: list[ast.stmt]) -> bool:
 
 
 class OptInPurityRule(Rule):
-    """R003: every obs/faults/sanitizer hook call must be None-guarded."""
+    """R003: every probe/faults/obs access must be None-guarded."""
 
     code = "R003"
     summary = (
-        "obs.*/faults.*/sanitizer.* access in repro.ssd/repro.core must be "
+        "probe.*/faults.*/obs.* access in repro.ssd/repro.core must be "
         "dominated by a None-guard (opt-in hot-path contract)"
     )
-    applies_to = (
-        "repro.ssd",
-        "repro.core",
-        # the explainer layer consumes sanitizer/attribution handles and
-        # must honour the same opt-in contract it observes
-        "repro.obs.critpath",
-        "repro.obs.whatif",
-        # the fleet plane wires opt-in device bundles together and must
-        # honour the same contract for every handle it touches
-        "repro.obs.fleet",
-        # the differential layer re-simulates with its own handles and
-        # must not regress the opt-in contract while doing so
-        "repro.obs.diff",
-    )
+    applies_to = ("repro.ssd", "repro.core")
 
     def check(self, module) -> Iterator:
         for func in ast.walk(module.tree):

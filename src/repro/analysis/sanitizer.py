@@ -1,11 +1,12 @@
 """Runtime simulation sanitizer (TSan/ASan-style, opt-in).
 
-The :class:`Sanitizer` is threaded through the simulator exactly like
-``obs`` / ``faults``: every instrumented component stores it as an
-attribute defaulting to ``None`` and pays one ``is not None`` branch per
-hook site when disabled.  When enabled it keeps *shadow state* — it does
-not trust the bookkeeping of the objects it watches — and checks, on
-every step:
+The :class:`Sanitizer` is a device :class:`~repro.ssd.probe.Probe`: pass
+it as the simulator's ``obs=`` (or compose it with an ``Observability``
+bundle through :func:`~repro.ssd.probe.probes`) and the event loop, every
+resource, the mapping table, the GC and the FTL arm the hooks it
+implements; a run without it pays one ``is not None`` branch per site.
+It keeps *shadow state* — it does not trust the bookkeeping of the
+objects it watches — and checks, on every step:
 
 * **event-time monotonicity** — the event loop never dispatches an event
   earlier than the current simulated time (``repro.ssd.engine`` clamps
@@ -31,6 +32,8 @@ from __future__ import annotations
 
 from collections import deque
 from typing import TYPE_CHECKING
+
+from ..ssd.probe import Probe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..ssd.engine import Resource
@@ -61,7 +64,7 @@ class SanitizerError(RuntimeError):
         super().__init__(message)
 
 
-class Sanitizer:
+class Sanitizer(Probe):
     """Opt-in invariant checker for one simulation run."""
 
     __slots__ = (
@@ -138,7 +141,7 @@ class Sanitizer:
     # ------------------------------------------------------------------
     # Resources (channel buses, dies)
     # ------------------------------------------------------------------
-    def on_grant(self, resource: "Resource", start_us: float, duration_us: float) -> None:
+    def on_grant(self, resource: "Resource", start_us: float, duration_us: float, *_) -> None:
         """Called when ``resource`` grants a job [start_us, start_us+duration_us)."""
         self.grants_checked += 1
         if duration_us < 0:
@@ -271,7 +274,7 @@ class Sanitizer:
                 f"{valid_sum} but live_pages is {live}",
             )
 
-    def after_gc(self, state: "FlashArrayState", plane: "PlaneState") -> None:
+    def after_gc(self, state: "FlashArrayState", plane: "PlaneState", *_) -> None:
         """Full sweep after one GC pass: plane conservation + bijection."""
         self._record(f"gc-pass plane={plane.plane_index}")
         self.check_plane(plane)

@@ -18,6 +18,7 @@ boundary, and residual old-channel traffic are all modelled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -25,6 +26,7 @@ from ..ssd.config import SSDConfig
 from ..ssd.fastmodel import fast_simulate
 from ..ssd.faults import FaultConfig
 from ..ssd.metrics import SimulationResult
+from ..ssd.probe import Probe, probes
 from ..ssd.request import IORequest, OpType
 from ..ssd.simulator import SSDSimulator
 from .allocator import ChannelAllocator, verified_allocate
@@ -152,6 +154,27 @@ class PeriodicRun:
         return seen
 
 
+class _WindowTap(Probe):
+    """The keeper's subscription to a device: feeds each request arriving
+    before ``until_us`` to the features collector (and, with ``keep``,
+    to :attr:`requests`)."""
+
+    def __init__(
+        self, collector: FeaturesCollector, *, keep: bool,
+        until_us: float = math.inf,
+    ) -> None:
+        self.collector = collector
+        self.keep = keep
+        self.until_us = until_us
+        self.requests: list[IORequest] = []
+
+    def on_submit(self, req: IORequest, now_us: float) -> None:
+        if req.arrival_us < self.until_us:
+            self.collector.observe(req)
+            if self.keep:
+                self.requests.append(req)
+
+
 class SSDKeeper:
     """Self-adapting channel allocation over one simulated device."""
 
@@ -194,14 +217,15 @@ class SSDKeeper:
         #: optional :class:`repro.obs.Observability`: decisions are logged
         #: as :class:`KeeperDecision` records, a ``keeper_switch`` trace
         #: event marks each mid-run switch, and the underlying simulator
-        #: inherits the same sink.
+        #: observes into the same bundle (composed after the keeper's
+        #: features collector, see :func:`repro.ssd.probe.probes`).
         self.obs = obs
         #: optional :class:`repro.ssd.faults.FaultConfig` applied to the
         #: underlying device (and to fast-model replays, as an expected-value
         #: derating)
         self.faults = faults
-        #: optional :class:`repro.analysis.Sanitizer` threaded into every
-        #: simulator this keeper constructs (runtime invariant checking)
+        #: optional :class:`repro.analysis.Sanitizer` composed into the
+        #: probe of every simulator this keeper constructs
         self.sanitizer = sanitizer
         #: graceful-degradation trigger: when the unhealthiest channel's
         #: observed error rate reaches this fraction, the keeper stops
@@ -267,45 +291,38 @@ class SSDKeeper:
         return strategy, None
 
     # ------------------------------------------------------------------
+    def _collecting_device(
+        self, *, keep: bool, until_us: float = math.inf
+    ) -> tuple[SSDSimulator, _WindowTap]:
+        """The device Algorithm 2 starts on — Shared channels, static
+        placement — observed by a features-collecting tap, then ``obs``
+        and the sanitizer."""
+        n_tenants = self.allocator.space.n_tenants
+        tap = _WindowTap(
+            FeaturesCollector(n_tenants, intensity_quantum=self.intensity_quantum),
+            keep=keep, until_us=until_us,
+        )
+        shared = {wid: list(range(self.config.channels)) for wid in range(n_tenants)}
+        sim = SSDSimulator(
+            self.config, shared, record_latencies=self.record_latencies,
+            obs=probes(tap, self.obs, self.sanitizer), faults=self.faults,
+        )
+        return sim, tap
+
     def run(self, requests: Iterable[IORequest]) -> KeeperRun:
         """Play Algorithm 2 over ``requests``; returns latencies + decision."""
-        n_tenants = self.allocator.space.n_tenants
-        collector = FeaturesCollector(
-            n_tenants, intensity_quantum=self.intensity_quantum
+        window_end_us = self.collect_window_us
+        sim, tap = self._collecting_device(
+            keep=bool(self.verify_top_k) or self.obs is not None,
+            until_us=window_end_us,
         )
-        window_end = self.collect_window_us
-        observing = True
-        window_requests: list[IORequest] = []
-
-        keep_window = bool(self.verify_top_k) or self.obs is not None
-
-        def on_submit(req: IORequest) -> None:
-            if observing and req.arrival_us < window_end:
-                collector.observe(req)
-                if keep_window:
-                    window_requests.append(req)
-
-        shared = {
-            wid: list(range(self.config.channels)) for wid in range(n_tenants)
-        }
-        sim = SSDSimulator(
-            self.config,
-            shared,
-            page_modes=None,  # collection phase: traditional static placement
-            record_latencies=self.record_latencies,
-            on_submit=on_submit,
-            obs=self.obs,
-            faults=self.faults,
-            sanitizer=self.sanitizer,
-        )
+        collector, window_requests = tap.collector, tap.requests
 
         decision: dict = {
             "features": None, "strategy": None, "at_us": None, "fallback": None,
         }
 
         def switch() -> None:
-            nonlocal observing
-            observing = False
             if collector.total_observed == 0:
                 return  # nothing observed: stay on Shared
             features = collector.collect()
@@ -327,7 +344,7 @@ class SSDKeeper:
                     window_requests, fallback_reason=fallback_reason,
                 )
 
-        sim.loop.schedule(window_end, switch)  # repro-lint: disable=R004 (window_end is an absolute pre-run boundary)
+        sim.loop.schedule(window_end_us, switch)  # repro-lint: disable=R004 (window_end_us is an absolute pre-run boundary)
         result = sim.run(requests)
         if self.obs is not None and self.obs.decisions:
             # run-level realised latency for the one-shot decision
@@ -377,6 +394,7 @@ class SSDKeeper:
             fallback_reason=fallback_reason,
         )
         obs.decisions.append(record)
+        obs.registry.counter("ftl.reallocations").inc()
         obs.registry.counter("keeper.switches").inc()
         obs.trace.emit(
             sim.loop.now, "keeper_switch", "keeper", "keeper",
@@ -458,31 +476,8 @@ class SSDKeeper:
             )
             buffer = ReplayBuffer(retrain.capacity)
 
-        n_tenants = self.allocator.space.n_tenants
-        collector = FeaturesCollector(
-            n_tenants, intensity_quantum=self.intensity_quantum
-        )
-        window_requests: list[IORequest] = []
-        keep_window = adaptive or bool(self.verify_top_k)
-
-        def on_submit(req: IORequest) -> None:
-            collector.observe(req)
-            if keep_window:
-                window_requests.append(req)
-
-        shared = {
-            wid: list(range(self.config.channels)) for wid in range(n_tenants)
-        }
-        sim = SSDSimulator(
-            self.config,
-            shared,
-            page_modes=None,
-            record_latencies=self.record_latencies,
-            on_submit=on_submit if keep_window else collector.observe,
-            obs=self.obs,
-            faults=self.faults,
-            sanitizer=self.sanitizer,
-        )
+        sim, tap = self._collecting_device(keep=adaptive or bool(self.verify_top_k))
+        collector, window_requests = tap.collector, tap.requests
         run = PeriodicRun(result=None, decisions=[])  # result filled after sim.run
         last_label: str | None = None
         last_strategy: Strategy | None = None
@@ -689,6 +684,8 @@ class SSDKeeper:
                 ),
                 page_modes_for(self.page_policy, features),
             )
+            if obs is not None:
+                obs.registry.counter("ftl.reallocations").inc()
 
         end = horizon_us if horizon_us is not None else max(
             r.arrival_us for r in requests
@@ -790,7 +787,7 @@ class SSDKeeper:
             channel_sets,
             page_modes=modes,
             record_latencies=self.record_latencies,
+            obs=self.sanitizer,
             faults=self.faults,
-            sanitizer=self.sanitizer,
         )
         return sim.run(requests)

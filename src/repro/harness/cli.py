@@ -70,6 +70,7 @@ import numpy as np
 
 from ..core.strategies import StrategySpace
 from ..ssd.config import SSDConfig
+from ..ssd.probe import probes
 from .ablations import (
     ablation_fastmodel,
     ablation_features,
@@ -310,7 +311,7 @@ def _cmd_stats(scale: Scale, args: argparse.Namespace, faults=None,
         from ..analysis import Sanitizer
 
         sanitizer = Sanitizer()
-    result = stats_run(scale, obs=obs, faults=faults, sanitizer=sanitizer)
+    result = stats_run(scale, obs=probes(obs, sanitizer), faults=faults)
     notes: list[str] = []
     if sanitizer is not None:
         checks = ", ".join(f"{k} {v}" for k, v in sanitizer.stats().items())

@@ -523,9 +523,7 @@ def tab2_workloads(*, sample_requests: int = 20_000, seed: int = 2) -> dict:
 # ----------------------------------------------------------------------
 # `repro stats` — one instrumented event-driven run
 # ----------------------------------------------------------------------
-def stats_run(
-    scale: Scale, *, obs, requests: int | None = None, faults=None, sanitizer=None
-):
+def stats_run(scale: Scale, *, obs, requests: int | None = None, faults=None):
     """Run one fully-instrumented event-driven simulation.
 
     A four-tenant synthetic mix (two write-dominated, two read-dominated
@@ -561,6 +559,5 @@ def stats_run(
     channel_sets = {wid: list(range(cfg.ssd.channels)) for wid in range(4)}
     sim = SSDSimulator(
         cfg.ssd, channel_sets, record_latencies=True, obs=obs, faults=faults,
-        sanitizer=sanitizer,
     )
     return sim.run(mixed.requests)

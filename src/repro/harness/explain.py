@@ -67,6 +67,7 @@ def explain_scenario(
     from ..obs import Observability
     from ..obs.critpath import extract_critical_path
     from ..obs.whatif import explain_decisions, run_whatif
+    from ..ssd.probe import probes
     from ..ssd.simulator import simulate
     from .scenarios import load_scenario
 
@@ -80,8 +81,8 @@ def explain_scenario(
         sanitizer = Sanitizer()
     obs = Observability(trace=False, attribution=True)
     result = simulate(
-        requests, cfg, sets, record_latencies=True, obs=obs, faults=faults,
-        sanitizer=sanitizer,
+        requests, cfg, sets, record_latencies=True,
+        obs=probes(obs, sanitizer), faults=faults,
     )
     if log is not None:
         log(f"{name}: {result.summary()}")

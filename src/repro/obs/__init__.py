@@ -22,8 +22,12 @@ Three pillars, bundled by the :class:`Observability` facade:
   what-if profiling by exact re-simulation with scaled config knobs,
   surfaced as ``repro explain``.
 
-Everything is opt-in: components take ``obs=None`` and pay at most one
-``is not None`` branch per hot-path event when disabled.  Enable with::
+Everything is opt-in.  :class:`Observability` is a device
+:class:`~repro.ssd.probe.Probe`: the simulator takes it (alone, or
+composed with other subscribers through :func:`~repro.ssd.probe.probes`)
+as its one ``obs=`` argument, and each component arms only the hook sites
+the bundle needs — a disarmed site costs one ``is not None`` branch.
+Enable with::
 
     from repro.obs import Observability
     obs = Observability(utilization_interval_us=500.0)
@@ -36,6 +40,8 @@ Everything is opt-in: components take ``obs=None`` and pay at most one
 
 from __future__ import annotations
 
+from ..ssd.ftl.gc import GCWorkItem
+from ..ssd.probe import Probe
 from .attribution import (
     DRAM_CHANNEL,
     PHASE_NAMES,
@@ -142,8 +148,15 @@ __all__ = [
 ]
 
 
-class Observability:
-    """Bundle of registry + trace recorder + profiling config.
+#: hooks whose only work is a trace event: disarmed when tracing is off
+_TRACE_HOOKS = frozenset({
+    "on_grant", "on_release", "on_submit", "on_dispatch", "on_gc_start",
+})
+
+
+class Observability(Probe):
+    """Bundle of registry + trace recorder + profiling config; a device
+    probe (see the module docstring and :meth:`hook`).
 
     Parameters
     ----------
@@ -156,7 +169,7 @@ class Observability:
     trace_capacity / trace_sample_every:
         Ring-buffer size and 1-in-N sampling for the default recorder.
     utilization_interval_us:
-        When set, the simulator attaches a :class:`UtilizationProfiler`
+        When set, the arm hook attaches a :class:`UtilizationProfiler`
         sampling every that many simulated microseconds (found afterwards
         on :attr:`profiler`).
     attribution:
@@ -168,7 +181,7 @@ class Observability:
         default) costs nothing.
     telemetry:
         A sampling interval in simulated microseconds (or a
-        pre-configured :class:`TelemetrySink`): the simulator arms the
+        pre-configured :class:`TelemetrySink`): the arm hook starts the
         sink to emit delta-encoded windows over the registry on weak
         loop events (never perturbing the run).  ``None`` (default)
         costs nothing.
@@ -208,7 +221,7 @@ class Observability:
         if utilization_interval_us is not None and utilization_interval_us <= 0:
             raise ValueError("utilization_interval_us must be positive")
         self.utilization_interval_us = utilization_interval_us
-        #: attached by the simulator when profiling is enabled
+        #: attached by the arm hook when profiling is enabled
         self.profiler: UtilizationProfiler | None = None
         #: keeper decision records (:class:`repro.core.keeper.KeeperDecision`)
         self.decisions: list = []
@@ -228,7 +241,7 @@ class Observability:
             self.slo = None
         else:
             raise TypeError("slo must be an SloSpec or SloWatchdog")
-        #: optional windowed telemetry sink (armed by the simulator)
+        #: optional windowed telemetry sink (started by the arm hook)
         if isinstance(telemetry, TelemetrySink):
             self.telemetry: TelemetrySink | None = telemetry
         elif telemetry is not None:
@@ -256,6 +269,174 @@ class Observability:
                 trace=self.trace if self.trace.enabled else None,
                 flight_recorder=self.flight_recorder,
             )
+
+    # ------------------------------------------------------------------
+    # Probe hooks: what the device reports, and where each lands
+    # ------------------------------------------------------------------
+    def hook(self, name: str):
+        """Arm ``name`` only when this bundle has work for it.
+
+        Arming a site also registers the metrics that site publishes, so a
+        run in which it never fires still reports them as zero.
+        """
+        if name in _TRACE_HOOKS and not self.trace.enabled:
+            return None
+        if name in ("span", "on_gc_charge"):
+            attribution = self.attribution
+            if attribution is None:
+                return None
+            return attribution.span if name == "span" else attribution.note_gc_trigger
+        if name == "on_trap" and self.flight_recorder is None:
+            return None
+        reg = self.registry
+        if name == "on_complete":
+            self._read_hist = reg.histogram("sim.read_latency_us")
+            self._write_hist = reg.histogram("sim.write_latency_us")
+            #: per-tenant latency histograms, kept only for telemetry
+            self._tenant_hist: dict = {}
+        elif name == "after_gc":
+            self._gc_collections = reg.counter("ftl.gc.collections")
+            self._gc_pages_moved = reg.counter("ftl.gc.pages_moved")
+        return super().hook(name)
+
+    def joined(self, peers: tuple) -> None:
+        """Route attribution's exact-sum check and flight bundles through
+        a sanitizer composed alongside this bundle."""
+        from ..analysis.sanitizer import Sanitizer
+
+        for peer in peers:
+            if isinstance(peer, Sanitizer):
+                if self.attribution is not None:
+                    self.attribution.sanitizer = peer
+                if self.flight_recorder is not None:
+                    self.flight_recorder.sanitizer = peer
+
+    def on_grant(self, resource, start_us, duration_us, wait_us=0.0) -> None:
+        self.trace.emit(
+            start_us, f"{resource.kind}_acquire", resource.name, "resource",
+            dur_us=duration_us, args={"wait_us": wait_us},
+        )
+
+    def on_release(self, resource, now_us) -> None:
+        self.trace.emit(now_us, f"{resource.kind}_release", resource.name, "resource")
+
+    def after_gc(self, state, plane, moves=0, retired=False) -> None:
+        if not retired:
+            self._gc_collections.inc()
+        self._gc_pages_moved.inc(moves)
+        if self.attribution is not None:
+            cfg = state.config
+            channel = plane.plane_index // (cfg.planes // cfg.channels)
+            self.attribution.note_gc_reclaim(channel, moves, retired)
+
+    def on_gc_start(self, die, item, start_us, duration_us) -> None:
+        tr = self.trace
+        args = {"plane": item.plane_index, "block": item.block, "moves": item.moves}
+        is_gc = isinstance(item, GCWorkItem)
+        if is_gc:
+            tr.emit(start_us, "gc_start", die.name, "gc", args=args)
+            loop = die.loop
+            loop.schedule(
+                start_us + duration_us,
+                lambda: tr.emit(loop.now, "gc_end", die.name, "gc"),
+            )
+        if not is_gc or item.retired:
+            tr.emit(start_us, "block_retired", die.name, "faults", args=args)
+
+    def on_submit(self, req, now_us) -> None:
+        self.trace.emit(
+            now_us, "request_submit", f"w{req.workload_id}", "host",
+            args={"op": req.op.name, "lpn": req.lpn, "len": req.length},
+        )
+
+    def on_dispatch(self, now_us, wid, lpn, ppn, op, die, bus, retry=None) -> None:
+        self.trace.emit(
+            now_us, "subrequest_dispatch", bus.name, "sim",
+            args={"wid": wid, "lpn": lpn, "ppn": ppn, "op": op, "die": die.name},
+        )
+        if retry is not None and retry.retries:
+            self.trace.emit(
+                now_us, "read_retry", die.name, "faults",
+                args={"ppn": ppn, "retries": retry.retries,
+                      "unrecoverable": retry.unrecoverable},
+            )
+
+    def on_complete(self, req, now_us, failed, span) -> None:
+        reg = self.registry
+        if failed:
+            reg.counter("sim.failed_reads").inc()
+            if self.flight_recorder is not None:
+                self.flight_recorder.dump_once(
+                    "unrecoverable-read",
+                    detail=f"wid={req.workload_id} lpn={req.lpn} len={req.length}",
+                    time_us=now_us,
+                )
+        else:
+            latency_us = req.latency_us
+            (self._read_hist if req.is_read else self._write_hist).observe(latency_us)
+            if self.telemetry is not None:
+                hist = self._tenant_hist.get((req.workload_id, req.op))
+                if hist is None:
+                    kind = "read" if req.is_read else "write"
+                    hist = reg.histogram(
+                        f"sim.tenant.{req.workload_id}.{kind}_latency_us"
+                    )
+                    self._tenant_hist[(req.workload_id, req.op)] = hist
+                hist.observe(latency_us)
+            if self.attribution is not None and span is not None:
+                self.attribution.record(req, span)
+        reg.counter("sim.requests").inc()
+
+    def arm(self, sim) -> None:
+        if self.utilization_interval_us is not None:
+            self.profiler = UtilizationProfiler(self.utilization_interval_us)
+            self.profiler.attach(sim.loop, sim.channels, sim.dies)
+        if self.telemetry is not None:
+            self.telemetry.attach(
+                sim.loop, self.registry, channels=sim.channels, dies=sim.dies,
+            )
+
+    def collect(self, sim, result) -> None:
+        """Flush the samplers, complete ``result`` and publish the run."""
+        if self.profiler is not None:
+            # flush the final partial window so the series covers the run
+            self.profiler.flush()
+        if self.telemetry is not None:
+            self.telemetry.flush()
+        if self.attribution is not None:
+            result.breakdown = self.attribution.breakdown()
+        if self.slo is not None:
+            result.alerts = [a.to_dict() for a in self.slo.alerts]
+        reg = self.registry
+        reg.counter("sim.requests").value = sim.requests_done
+        reg.counter("sim.subrequests").value = sim.subrequests_done
+        reg.counter("sim.events").value = sim.loop.events_processed
+        reg.counter("ftl.seeded_pages").value = sim.controller.seeded_pages
+        reg.gauge("sim.makespan_us").set(result.makespan_us)
+        reg.gauge("sim.total_latency_us").set(result.total_latency_us)
+        reg.gauge("sim.channel_wait_us").set(result.channel_wait_us)
+        reg.gauge("sim.die_wait_us").set(result.die_wait_us)
+        for res in (*sim.channels, *sim.dies):
+            reg.gauge(f"util.{res.name}.busy_fraction").set(
+                res.utilization(result.makespan_us)
+            )
+        if sim.buffer is not None:
+            sim.buffer.stats.publish(reg)
+        if sim.faults is not None:
+            sim.faults.publish(reg)
+        if self.profiler is not None:
+            self.profiler.publish(reg)
+        if result.breakdown is not None:
+            reg.counter("attr.requests").value = result.breakdown.requests
+            for phase, total_us in result.breakdown.phase_totals_us.items():
+                reg.gauge(f"attr.{phase}").set(total_us)
+
+    def on_trap(self, exc, now_us) -> None:
+        trigger = (
+            "sanitizer-invariant" if getattr(exc, "invariant", None)
+            else "exception"
+        )
+        self.flight_recorder.dump_once(trigger, detail=str(exc), time_us=now_us)
 
     # ------------------------------------------------------------------
     def write_chrome_trace(self, path) -> int:

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ..schema import Schema
+from ..ssd.probe import Probe, probes
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
 from .slo import SloSpec, SloWatchdog
 from .trace import NULL_RECORDER
@@ -409,8 +410,9 @@ class _FleetBundle:
         self.telemetry = None
 
 
-class FleetObserver:
-    """Attaches the observability plane to a fleet's hooks.
+class FleetObserver(Probe):
+    """Attaches the observability plane to a fleet's hooks, and subscribes
+    to every device's probe to count fleet requests.
 
     Parameters
     ----------
@@ -469,12 +471,13 @@ class FleetObserver:
                     dev_id, bundle.slo
                 )
         self.registry.fleet.counter("fleet.devices").value = len(fleet.sims)
-        fleet.on_complete = self._on_complete
+        for sim in fleet.sims:
+            sim.attach(probes(sim.probe, self))
         fleet.on_migration = self._on_migration
         fleet.on_migration_complete = self._on_migration_complete
 
     # ------------------------------------------------------------------
-    def _on_complete(self, device_id: int, req) -> None:
+    def on_complete(self, req, now_us, failed, span) -> None:
         self.registry.fleet.counter("fleet.requests").inc()
 
     def _on_migration(self, record) -> None:

@@ -63,7 +63,7 @@ class FlightRecorder:
         self.telemetry_tail = telemetry_tail
         #: set by :class:`repro.obs.Observability` when carried by one
         self.obs = None
-        #: set by the simulator when a sanitizer is attached
+        #: set when composed with a sanitizer (see ``Observability.joined``)
         self.sanitizer = None
         #: bundle directories written so far, oldest first
         self.bundles: list[Path] = []

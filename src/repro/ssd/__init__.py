@@ -9,6 +9,8 @@ Public surface:
   under many channel assignments, sharing the runs of common channel groups;
 * :class:`IORequest` / :class:`OpType` — the trace record consumed by both;
 * :class:`SimulationResult` — latency summary both engines return;
+* :class:`Probe` / :func:`probes` — the one observer interface every
+  component reports to (see :mod:`repro.ssd.probe`);
 * :class:`PageAllocMode` — static vs dynamic page allocation per tenant.
 """
 
@@ -22,6 +24,7 @@ from .fleet import Fleet, FleetResult, MigrationPlan, MigrationRecord, seeded_pl
 from .ftl import PageAllocMode
 from .geometry import Geometry, PhysicalAddress
 from .metrics import LatencyAccumulator, OpStats, SimulationResult
+from .probe import Probe, probes
 from .request import IORequest, OpType, SubRequest
 from .simulator import SSDSimulator, simulate
 from .timing import ServiceTimes
@@ -47,6 +50,8 @@ __all__ = [
     "LatencyAccumulator",
     "OpStats",
     "SimulationResult",
+    "Probe",
+    "probes",
     "FTLController",
     "SSDSimulator",
     "simulate",

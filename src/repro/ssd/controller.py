@@ -24,6 +24,7 @@ from .faults import FaultInjector, FaultWorkItem
 from .ftl.gc import GarbageCollector
 from .ftl.mapping import FlashArrayState, PlaneState
 from .ftl.page_alloc import LoadFn, PageAllocMode, StaticPagePlacer, make_placer
+from .probe import hook
 
 __all__ = ["FTLController"]
 
@@ -48,39 +49,21 @@ class FTLController:
         *,
         load_fn: LoadFn | None = None,
         tenant_lpn_space: int | None = None,
-        obs=None,
         faults: FaultInjector | None = None,
-        sanitizer=None,
     ) -> None:
         if not channel_sets:
             raise ValueError("channel_sets must name at least one workload")
         self.config = config
         self.state = FlashArrayState(config)
         self.geometry = self.state.geometry
-        #: optional :class:`repro.obs.Observability`; the controller and its
-        #: GC publish counters into ``obs.registry`` when attached
-        self.obs = obs
         #: optional :class:`repro.ssd.faults.FaultInjector`; when attached,
         #: programs and erases may fail and retire blocks
         self.faults = faults
-        #: optional :class:`repro.analysis.Sanitizer`; when attached, block
-        #: retirements and GC passes re-check conservation and bijectivity
-        self.sanitizer = sanitizer
-        if sanitizer is not None:
-            self.state.mapping.attach_sanitizer(sanitizer)
         self._planes_per_channel = (
             config.chips_per_channel * config.dies_per_chip * config.planes_per_die
         )
-        #: optional :class:`repro.obs.attribution.AttributionCollector`
-        #: carried by ``obs``; notes which tenant triggered GC work
-        self._attribution = obs.attribution if obs is not None else None
-        self.gc = GarbageCollector(
-            self.state,
-            metrics=obs.registry if obs is not None else None,
-            faults=faults,
-            sanitizer=sanitizer,
-            attribution=self._attribution,
-        )
+        self.gc = GarbageCollector(self.state, faults=faults)
+        self._after_retire = None
         self.load_fn = load_fn or _idle_load
         self.channel_sets = {wid: sorted(set(chs)) for wid, chs in channel_sets.items()}
         for wid, chs in self.channel_sets.items():
@@ -115,6 +98,12 @@ class FTLController:
         }
         #: pages pre-seeded on behalf of reads of cold data
         self.seeded_pages = 0
+
+    def attach(self, probe) -> None:
+        """Arm the FTL hooks (mapping, GC, retirement) from ``probe``."""
+        self.state.mapping.attach(probe)
+        self.gc.attach(probe)
+        self._after_retire = hook(probe, "after_retire")
 
     # ------------------------------------------------------------------
     def _probe_load(self, plane_index: int) -> tuple:
@@ -164,10 +153,6 @@ class FTLController:
         else:
             ppn = self.state.write(glpn, plane)
         work.extend(self.gc.maybe_collect(plane))
-        if work:
-            attribution = self._attribution
-            if attribution is not None:
-                attribution.note_gc_trigger(workload_id, len(work))
         return ppn, work
 
     # ------------------------------------------------------------------
@@ -212,8 +197,8 @@ class FTLController:
             # the block is erased and empty — retire it outright.
             plane.retire_free_block(block)
             self.faults.note_retirement(plane.pages_per_block)
-            if self.sanitizer is not None:
-                self.sanitizer.after_retire(self.state, plane, block)
+            if self._after_retire is not None:
+                self._after_retire(self.state, plane, block)
             return FaultWorkItem(plane.plane_index, block, 0)
         if plane.free_blocks == 0:
             # Need a replacement active block before we can retire this one.
@@ -233,8 +218,8 @@ class FTLController:
             moves += 1
         plane.retire_block(block, programmed_pages=programmed)
         self.faults.note_retirement(plane.pages_per_block)
-        if self.sanitizer is not None:
-            self.sanitizer.after_retire(self.state, plane, block)
+        if self._after_retire is not None:
+            self._after_retire(self.state, plane, block)
         return FaultWorkItem(plane.plane_index, block, moves)
 
     def resolve_read(self, workload_id: int, lpn: int) -> int:
@@ -315,8 +300,6 @@ class FTLController:
         self._seed_placers = {
             wid: StaticPagePlacer(self.geometry, chs) for wid, chs in new_sets.items()
         }
-        if self.obs is not None:
-            self.obs.registry.counter("ftl.reallocations").inc()
 
     def mapped_pages(self) -> int:
         return self.state.mapped_pages()

@@ -18,6 +18,8 @@ import heapq
 from itertools import count
 from typing import Callable
 
+from .probe import hook
+
 __all__ = ["ComposedLoop", "EventLoop", "Resource", "PRIO_READ", "PRIO_GC", "PRIO_WRITE"]
 
 PRIO_READ = 0
@@ -34,9 +36,11 @@ class EventLoop:
         self._weak_pending = 0
         self.now = 0.0
         self.events_processed = 0
-        #: optional :class:`repro.analysis.Sanitizer`; when set, every event
-        #: dispatch is checked for simulated-time monotonicity.
-        self.sanitizer = None
+        self._on_event = None
+
+    def attach(self, probe) -> None:
+        """Arm the loop-event hook from ``probe`` (``None`` disarms it)."""
+        self._on_event = hook(probe, "on_event")
 
     #: scheduling times this close below ``now`` are float-rounding residue
     #: from summed phase durations, not logic errors; they clamp to ``now``.
@@ -96,12 +100,6 @@ class EventLoop:
         """Number of pending events that keep the loop alive."""
         return len(self._heap) - self._weak_pending
 
-    def peek_when(self) -> float | None:
-        """Absolute time of the next pending event, or ``None`` when empty."""
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
     def step(self) -> bool:
         """Dispatch exactly one pending event (weak or strong).
 
@@ -114,8 +112,8 @@ class EventLoop:
         when, _, callback, weak = heapq.heappop(self._heap)
         if weak:
             self._weak_pending -= 1
-        if self.sanitizer is not None:
-            self.sanitizer.on_event(when, self.now)
+        if self._on_event is not None:
+            self._on_event(when, self.now)
         self.now = when
         self.events_processed += 1
         callback()
@@ -226,7 +224,7 @@ class Resource:
     __slots__ = (
         "loop", "name", "busy", "free_at", "_waiters", "_seq",
         "busy_time_us", "grants", "wait_time_us", "gc_busy_time_us",
-        "trace", "kind", "sanitizer",
+        "kind", "_on_grant", "_on_release",
     )
 
     def __init__(self, loop: EventLoop, name: str = "", kind: str = "resource") -> None:
@@ -246,15 +244,14 @@ class Resource:
         #: the delta across a host job's wait to separate GC stall from
         #: plain queueing.
         self.gc_busy_time_us = 0.0
-        # --- observability (no-op unless a recorder is attached) ---
-        #: optional :class:`repro.obs.trace.TraceRecorder`; when set, each
-        #: grant emits ``{kind}_acquire`` (with the service duration) and
-        #: each release emits ``{kind}_release``.
-        self.trace = None
         self.kind = kind
-        #: optional :class:`repro.analysis.Sanitizer`; when set, every
-        #: grant is checked for mutual exclusion against shadow state.
-        self.sanitizer = None
+        self._on_grant = None
+        self._on_release = None
+
+    def attach(self, probe) -> None:
+        """Arm the grant and release hooks from ``probe`` (``None`` disarms)."""
+        self._on_grant = hook(probe, "on_grant")
+        self._on_release = hook(probe, "on_release")
 
     def acquire(self, priority: tuple, duration_us: float, on_grant: Callable[[float], None]) -> None:
         """Request the resource for ``duration_us`` at ``priority`` (lower first).
@@ -278,27 +275,20 @@ class Resource:
         return len(self._waiters)
 
     def _grant(self, start_us: float, duration_us: float, on_grant: Callable[[float], None], enqueued_us: float) -> None:
-        if self.sanitizer is not None:
-            self.sanitizer.on_grant(self, start_us, duration_us)
+        if self._on_grant is not None:
+            self._on_grant(self, start_us, duration_us, start_us - enqueued_us)
         self.busy = True
         self.free_at = start_us + duration_us
         self.busy_time_us += duration_us
         self.grants += 1
         self.wait_time_us += start_us - enqueued_us
-        if self.trace is not None:
-            self.trace.emit(
-                start_us, f"{self.kind}_acquire", self.name, "resource",
-                dur_us=duration_us, args={"wait_us": start_us - enqueued_us},
-            )
         on_grant(start_us)
         self.loop.schedule(self.free_at, self._release)
 
     def _release(self) -> None:
         self.busy = False
-        if self.trace is not None:
-            self.trace.emit(
-                self.loop.now, f"{self.kind}_release", self.name, "resource"
-            )
+        if self._on_release is not None:
+            self._on_release(self, self.loop.now)
         if self._waiters:
             _, _, enqueued_us, duration_us, on_grant = heapq.heappop(self._waiters)
             self._grant(self.loop.now, duration_us, on_grant, enqueued_us=enqueued_us)

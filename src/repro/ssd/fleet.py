@@ -19,8 +19,9 @@ timestamp ties — owns fleet-level actions:
   destination times for each migration (the ``tenant_migration`` span the
   observability plane emits).
 
-The substrate is observability-free: it exposes ``on_complete`` /
-``on_migration`` / ``on_migration_complete`` hooks that
+The substrate is observability-free: like any observer it subscribes to
+each device's probe (its per-device completion counter), and it exposes
+the fleet-level ``on_migration`` / ``on_migration_complete`` hooks that
 :class:`repro.obs.fleet.FleetObserver` attaches to, keeping the
 ``repro.ssd`` layer import-clean.
 """
@@ -33,10 +34,31 @@ from typing import Mapping, Sequence
 
 from .engine import ComposedLoop, EventLoop
 from .metrics import SimulationResult
+from .probe import Probe, probes
 from .request import IORequest
 from .simulator import SSDSimulator
 
 __all__ = ["Fleet", "FleetResult", "MigrationPlan", "MigrationRecord", "seeded_placement"]
+
+
+class _DeviceCompletions(Probe):
+    """A fleet's subscription to one device: per-tenant completion counts,
+    and the close of any migration span onto the device."""
+
+    def __init__(self, fleet: "Fleet", dev_id: int) -> None:
+        self.fleet = fleet
+        self.dev_id = dev_id
+
+    def on_complete(self, req, now_us, failed, span) -> None:
+        fleet, dev_id = self.fleet, self.dev_id
+        per = fleet.completions[dev_id]
+        per[req.workload_id] = per.get(req.workload_id, 0) + 1
+        rec = fleet._open_spans.get(req.workload_id)
+        if rec is not None and rec.dst == dev_id:
+            rec.first_dst_complete_us = now_us
+            del fleet._open_spans[req.workload_id]
+            if fleet.on_migration_complete is not None:
+                fleet.on_migration_complete(rec)
 
 
 def seeded_placement(n_tenants: int, n_devices: int, seed: int) -> dict[int, int]:
@@ -173,8 +195,6 @@ class Fleet:
         #: per-device {tenant: completed-request count}
         self.completions: list[dict[int, int]] = [{} for _ in self.sims]
         # ---- hooks the observability plane attaches to (all optional) ----
-        #: called with ``(device_id, request)`` after each request completes
-        self.on_complete = None
         #: called with the :class:`MigrationRecord` at drain-start
         self.on_migration = None
         #: called with the record when its destination span closes
@@ -184,26 +204,9 @@ class Fleet:
         self._traces: dict[int, list[IORequest]] = {}
         self._ran = False
         for dev_id, sim in enumerate(self.sims):
-            sim.on_complete = self._completion_hook(dev_id, sim.on_complete)
+            sim.attach(probes(sim.probe, _DeviceCompletions(self, dev_id)))
 
     # ------------------------------------------------------------------
-    def _completion_hook(self, dev_id: int, inner):
-        def hook(req: IORequest) -> None:
-            if inner is not None:
-                inner(req)
-            per = self.completions[dev_id]
-            per[req.workload_id] = per.get(req.workload_id, 0) + 1
-            rec = self._open_spans.get(req.workload_id)
-            if rec is not None and rec.dst == dev_id:
-                rec.first_dst_complete_us = self.sims[dev_id].loop.now
-                del self._open_spans[req.workload_id]
-                if self.on_migration_complete is not None:
-                    self.on_migration_complete(rec)
-            if self.on_complete is not None:
-                self.on_complete(dev_id, req)
-
-        return hook
-
     def _forward(self, tenant: int, req: IORequest):
         def forward() -> None:
             dev = self.placement[tenant]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..probe import hook
 from .mapping import FlashArrayState, PlaneState
 
 __all__ = ["GCWorkItem", "GarbageCollector"]
@@ -49,25 +50,11 @@ class GCWorkItem:
 class GarbageCollector:
     """Greedy (min-valid-pages) victim selection per plane."""
 
-    def __init__(
-        self,
-        state: FlashArrayState,
-        *,
-        metrics=None,
-        faults=None,
-        sanitizer=None,
-        attribution=None,
-    ) -> None:
+    def __init__(self, state: FlashArrayState, *, faults=None) -> None:
         self.state = state
         #: optional :class:`repro.ssd.faults.FaultInjector`; when attached,
         #: erases may fail and retire their block
         self.faults = faults
-        #: optional :class:`repro.analysis.Sanitizer`; when attached, every
-        #: reclaimed block re-checks conservation and mapping bijectivity
-        self.sanitizer = sanitizer
-        #: optional :class:`repro.obs.attribution.AttributionCollector`;
-        #: when attached, every reclaim is noted against its channel
-        self.attribution = attribution
         cfg = state.config
         self._planes_per_channel = (
             cfg.chips_per_channel * cfg.dies_per_chip * cfg.planes_per_die
@@ -76,13 +63,11 @@ class GarbageCollector:
         self.collections = 0
         #: total valid pages copied (write amplification numerator)
         self.pages_moved = 0
-        # observability: pre-bound registry counters (None when disabled)
-        if metrics is not None:
-            self._c_collections = metrics.counter("ftl.gc.collections")
-            self._c_pages_moved = metrics.counter("ftl.gc.pages_moved")
-        else:
-            self._c_collections = None
-            self._c_pages_moved = None
+        self._after_gc = None
+
+    def attach(self, probe) -> None:
+        """Arm the GC-pass hook from ``probe`` (``None`` disarms it)."""
+        self._after_gc = hook(probe, "after_gc")
 
     def pick_victim(self, plane: PlaneState) -> int | None:
         """Sealed block with the fewest valid pages, or None if no candidate.
@@ -148,16 +133,7 @@ class GarbageCollector:
         else:
             plane.erase_block(victim)
             self.collections += 1
-            if self._c_collections is not None:
-                self._c_collections.inc()
         self.pages_moved += moves
-        if self._c_pages_moved is not None:
-            self._c_pages_moved.inc(moves)
-        if self.sanitizer is not None:
-            self.sanitizer.after_gc(self.state, plane)
-        attribution = self.attribution
-        if attribution is not None:
-            attribution.note_gc_reclaim(
-                plane.plane_index // self._planes_per_channel, moves, retired
-            )
+        if self._after_gc is not None:
+            self._after_gc(self.state, plane, moves, retired)
         return GCWorkItem(plane.plane_index, victim, moves, retired=retired)

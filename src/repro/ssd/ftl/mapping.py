@@ -23,6 +23,7 @@ from collections import deque
 
 from ..config import SSDConfig
 from ..geometry import Geometry
+from ..probe import hook
 
 __all__ = ["PlaneState", "MappingTable", "FlashArrayState"]
 
@@ -245,17 +246,18 @@ class PlaneState:
 class MappingTable:
     """Bidirectional LPN↔PPN map with overwrite semantics."""
 
-    __slots__ = ("_l2p", "_p2l", "_sanitizer")
+    __slots__ = ("_l2p", "_p2l", "_on_bind", "_on_unbind")
 
     def __init__(self) -> None:
         self._l2p: dict[int, int] = {}
         self._p2l: dict[int, int] = {}
-        #: optional :class:`repro.analysis.Sanitizer`; when attached, every
-        #: bind/unbind re-checks the bijection incrementally
-        self._sanitizer = None
+        self._on_bind = None
+        self._on_unbind = None
 
-    def attach_sanitizer(self, sanitizer) -> None:
-        self._sanitizer = sanitizer
+    def attach(self, probe) -> None:
+        """Arm the bind and unbind hooks from ``probe`` (``None`` disarms)."""
+        self._on_bind = hook(probe, "on_bind")
+        self._on_unbind = hook(probe, "on_unbind")
 
     def __len__(self) -> int:
         return len(self._l2p)
@@ -280,16 +282,16 @@ class MappingTable:
             del self._p2l[old]
         self._l2p[lpn] = ppn
         self._p2l[ppn] = lpn
-        if self._sanitizer is not None:
-            self._sanitizer.on_bind(self, lpn, ppn)
+        if self._on_bind is not None:
+            self._on_bind(self, lpn, ppn)
         return old
 
     def unbind_ppn(self, ppn: int) -> int:
         """Remove the mapping entry at ``ppn`` (GC move source). Returns LPN."""
         lpn = self._p2l.pop(ppn)
         del self._l2p[lpn]
-        if self._sanitizer is not None:
-            self._sanitizer.on_unbind(self, lpn, ppn)
+        if self._on_unbind is not None:
+            self._on_unbind(self, lpn, ppn)
         return lpn
 
 

@@ -35,14 +35,6 @@ class PhysicalAddress:
     block: int
     page: int
 
-    def plane_key(self) -> tuple[int, int, int, int]:
-        """Key identifying the plane that holds this page."""
-        return (self.channel, self.chip, self.die, self.plane)
-
-    def die_key(self) -> tuple[int, int, int]:
-        """Key identifying the die that executes commands for this page."""
-        return (self.channel, self.chip, self.die)
-
 
 class Geometry:
     """Address arithmetic for one :class:`~repro.ssd.config.SSDConfig`.

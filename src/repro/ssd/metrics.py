@@ -128,7 +128,7 @@ class LatencyAccumulator:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass
 class SimulationResult:
     """Outcome of one simulated trace.
 
@@ -160,7 +160,8 @@ class SimulationResult:
     events: int = 0
     extras: dict = field(default_factory=dict)
     #: per-phase latency attribution summary, present only when the run was
-    #: observed with ``Observability(attribution=True)``
+    #: observed with ``Observability(attribution=True)`` (filled in by its
+    #: collect hook)
     breakdown: "LatencyBreakdown | None" = None
     #: SLO watchdog alerts (plain dicts, see :mod:`repro.obs.slo`), present
     #: only when the run was observed with an armed watchdog; deliberately
@@ -235,8 +236,6 @@ def build_result(
     channel_wait_us: float = 0.0,
     events: int = 0,
     extras: dict | None = None,
-    breakdown: "LatencyBreakdown | None" = None,
-    alerts: "list[dict] | None" = None,
 ) -> SimulationResult:
     """Assemble a :class:`SimulationResult` from an accumulator."""
     per_workload = {
@@ -257,6 +256,4 @@ def build_result(
         channel_wait_us=channel_wait_us,
         events=events,
         extras=extras or {},
-        breakdown=breakdown,
-        alerts=alerts,
     )

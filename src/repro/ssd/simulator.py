@@ -25,9 +25,9 @@ from .config import SSDConfig
 from .controller import FTLController
 from .engine import PRIO_GC, PRIO_READ, PRIO_WRITE, EventLoop, Resource
 from .faults import FaultConfig, FaultInjector
-from .ftl.gc import GCWorkItem
 from .ftl.page_alloc import PageAllocMode
 from .metrics import LatencyAccumulator, SimulationResult, build_result
+from .probe import hook
 from .request import IORequest, OpType
 from .timing import ServiceTimes
 
@@ -63,20 +63,17 @@ class SSDSimulator:
     record_latencies:
         keep raw per-request latency samples (enables percentiles).
     obs:
-        optional :class:`repro.obs.Observability`; when attached the run
-        emits structured trace events (``request_submit``,
-        ``subrequest_dispatch``, ``channel_acquire``/``release``,
-        ``gc_start``/``end``), publishes counters and latency histograms
-        into the registry, and — if ``utilization_interval_us`` is set —
-        samples per-channel/per-die utilization time series.  When the
-        bundle carries an :class:`~repro.obs.attribution.AttributionCollector`
-        (``Observability(attribution=True)``), every completed request's
-        latency is additionally decomposed into exact-sum phases along
-        its critical path and the run's result carries the aggregated
-        :class:`~repro.obs.attribution.LatencyBreakdown`.  ``None``
-        (the default) costs one pointer test per hook; attribution adds
-        no events and no randomness, so an attributed run's latencies
-        are identical to an unattributed one.
+        the device's observer: any :class:`~repro.ssd.probe.Probe` — an
+        :class:`repro.obs.Observability` bundle, a
+        :class:`repro.analysis.Sanitizer`, or several composed with
+        :func:`~repro.ssd.probe.probes`.  Every component arms only the
+        hook sites some subscriber implements; ``None`` (the default)
+        leaves them all disarmed at one pointer test each.  Observers add
+        no randomness, so an observed run's latencies are identical to an
+        unobserved one.
+    faults:
+        optional seeded NAND fault model.  Unlike ``obs`` it changes the
+        simulated outcome.
     """
 
     def __init__(
@@ -86,23 +83,13 @@ class SSDSimulator:
         page_modes: Mapping[int, PageAllocMode] | None = None,
         *,
         record_latencies: bool = False,
-        on_submit=None,
-        on_complete=None,
         read_priority: bool = False,
         buffer: "BufferConfig | None" = None,
         loop: "EventLoop | None" = None,
         obs=None,
         faults: "FaultConfig | FaultInjector | None" = None,
-        sanitizer=None,
     ) -> None:
         self.config = config
-        #: optional callback fired with each request at its submission time
-        #: (the hook the SSDKeeper features collector attaches to).
-        self.on_submit = on_submit
-        #: optional callback fired with each request when its last page
-        #: completes (failed reads included) — the hook fleet migration
-        #: spans and conservation accounting attach to.
-        self.on_complete = on_complete
         #: queue discipline: FIFO (SSDSim-faithful) unless reads may overtake
         self._read_prio = PRIO_READ if read_priority else PRIO_WRITE
         self.times = ServiceTimes.from_config(config)
@@ -119,57 +106,18 @@ class SSDSimulator:
             for d in range(config.dies)
         ]
         self._planes_per_die = config.planes_per_die
-        self.obs = obs
-        #: optional :class:`repro.analysis.Sanitizer`; when attached the
-        #: event loop, every resource, the mapping table and the GC check
-        #: their invariants on each step.  ``None`` costs one pointer test.
-        self.sanitizer = sanitizer
-        if sanitizer is not None:
-            self.loop.sanitizer = sanitizer
-            for res in (*self.channels, *self.dies):
-                res.sanitizer = sanitizer
         #: optional fault injector (seeded NAND error model); ``None`` costs
         #: one ``is not None`` branch per operation
         if faults is None or isinstance(faults, FaultInjector):
             self.faults = faults
         else:
             self.faults = FaultInjector(faults)
-        self._trace = None
-        self._hist = None
-        #: optional :class:`~repro.obs.attribution.AttributionCollector`
-        #: carried by ``obs``; ``None`` costs one pointer test per page
-        self._attribution = obs.attribution if obs is not None else None
-        if self._attribution is not None and sanitizer is not None:
-            self._attribution.sanitizer = sanitizer
-        #: live registry handle — counters incremented as requests finish
-        #: so telemetry windows carry per-window deltas
-        self._registry = obs.registry if obs is not None else None
-        #: optional :class:`~repro.obs.telemetry.TelemetrySink` (armed in
-        #: :meth:`run` on weak loop events — never perturbs the run)
-        self._telemetry = obs.telemetry if obs is not None else None
-        #: lazily-created per-tenant latency histograms, telemetry only
-        self._tenant_hist = {} if self._telemetry is not None else None
-        #: optional :class:`~repro.obs.flightrecorder.FlightRecorder`
-        self._flightrec = obs.flight_recorder if obs is not None else None
-        if self._flightrec is not None and sanitizer is not None:
-            self._flightrec.sanitizer = sanitizer
-        if obs is not None:
-            if obs.trace.enabled:
-                self._trace = obs.trace
-                for res in (*self.channels, *self.dies):
-                    res.trace = self._trace
-            self._hist = {
-                OpType.READ: obs.registry.histogram("sim.read_latency_us"),
-                OpType.WRITE: obs.registry.histogram("sim.write_latency_us"),
-            }
         self.controller = FTLController(
             config,
             channel_sets,
             page_modes,
             load_fn=self._die_load,
-            obs=obs,
             faults=self.faults,
-            sanitizer=sanitizer,
         )
         #: optional DRAM write-back buffer in front of the FTL
         self.buffer = WriteBuffer(buffer) if buffer is not None else None
@@ -179,6 +127,26 @@ class SSDSimulator:
         self.requests_done = 0
         self.subrequests_done = 0
         self.failed_reads = 0
+        self.attach(obs)
+
+    def attach(self, probe) -> None:
+        """Make ``probe`` the device's observer and re-arm every hook site.
+
+        A fleet calls this to compose its completion counter after the
+        device's own observer: ``sim.attach(probes(sim.probe, counter))``.
+        """
+        #: the device's observer (see :mod:`repro.ssd.probe`)
+        self.probe = probe
+        self.loop.attach(probe)
+        for res in (*self.channels, *self.dies):
+            res.attach(probe)
+        self.controller.attach(probe)
+        self._on_submit = hook(probe, "on_submit")
+        self._on_dispatch = hook(probe, "on_dispatch")
+        self._span = hook(probe, "span")
+        self._on_gc_charge = hook(probe, "on_gc_charge")
+        self._on_gc_start = hook(probe, "on_gc_start")
+        self._on_complete = hook(probe, "on_complete")
 
     # ------------------------------------------------------------------
     def _die_load(self, plane_index: int) -> tuple:
@@ -235,23 +203,15 @@ class SSDSimulator:
         self._make_submit(req)()
 
     def arm_observers(self) -> None:
-        """Attach the profiler/telemetry samplers to this device's loop.
+        """Fire the observer's arm hook (samplers attach to the loop).
 
         Called by :meth:`prepare` for solo runs; a fleet calls it directly
         because fleet arrivals reach the device after preparation.  All
         samplers ride weak loop events, so arming never perturbs the run.
         """
-        obs = self.obs
-        if obs is not None and obs.utilization_interval_us is not None:
-            from ..obs.profiler import UtilizationProfiler
-
-            obs.profiler = UtilizationProfiler(obs.utilization_interval_us)
-            obs.profiler.attach(self.loop, self.channels, self.dies)
-        if self._telemetry is not None:
-            self._telemetry.attach(
-                self.loop, self._registry,
-                channels=self.channels, dies=self.dies,
-            )
+        arm = hook(self.probe, "arm")
+        if arm is not None:
+            arm(self)
 
     def prepare(self, requests: Iterable[IORequest]) -> int:
         """Schedule ``requests`` at their arrival times; arm the samplers.
@@ -274,34 +234,21 @@ class SSDSimulator:
         try:
             self.loop.run()
         except Exception as exc:
-            if self._flightrec is not None:
-                trigger = (
-                    "sanitizer-invariant"
-                    if getattr(exc, "invariant", None) else "exception"
-                )
-                self._flightrec.dump_once(
-                    trigger, detail=str(exc), time_us=self.loop.now
-                )
+            on_trap = hook(self.probe, "on_trap")
+            if on_trap is not None:
+                on_trap(exc, self.loop.now)
             raise
         return self.collect()
 
     def collect(self) -> SimulationResult:
-        """Flush samplers and assemble the :class:`SimulationResult`.
+        """Assemble the :class:`SimulationResult`; fire the collect hook.
 
         Requires the device's loop to have drained (every in-flight
         request completed); fleet composition calls this once the composed
         loop reaches global quiescence.
         """
-        obs = self.obs
-        if obs is not None and obs.profiler is not None:
-            # flush the final partial window so the series covers the run
-            obs.profiler.flush()
-        if self._telemetry is not None:
-            self._telemetry.flush()
         if self._inflight:  # pragma: no cover - engine invariant
             raise RuntimeError(f"{len(self._inflight)} requests never completed")
-        attribution = self._attribution
-        watchdog = obs.slo if obs is not None else None
         result = build_result(
             self.acc,
             makespan_us=self.loop.now,
@@ -313,11 +260,6 @@ class SSDSimulator:
             die_wait_us=sum(d.wait_time_us for d in self.dies),
             channel_wait_us=sum(c.wait_time_us for c in self.channels),
             events=self.loop.events_processed,
-            breakdown=attribution.breakdown() if attribution is not None else None,
-            alerts=(
-                [a.to_dict() for a in watchdog.alerts]
-                if watchdog is not None else None
-            ),
             extras={
                 "seeded_pages": self.controller.seeded_pages,
                 "mapped_pages": self.controller.mapped_pages(),
@@ -337,51 +279,16 @@ class SSDSimulator:
                 ),
             },
         )
-        if obs is not None:
-            self._publish_metrics(result)
+        collect = hook(self.probe, "collect")
+        if collect is not None:
+            collect(self, result)
         return result
-
-    def _publish_metrics(self, result: SimulationResult) -> None:
-        """End-of-run registry publication (only when obs is attached)."""
-        assert self.obs is not None
-        reg = self.obs.registry
-        reg.counter("sim.requests").value = self.requests_done
-        reg.counter("sim.subrequests").value = self.subrequests_done
-        reg.counter("sim.events").value = self.loop.events_processed
-        reg.counter("ftl.seeded_pages").value = self.controller.seeded_pages
-        reg.gauge("sim.makespan_us").set(result.makespan_us)
-        reg.gauge("sim.total_latency_us").set(result.total_latency_us)
-        reg.gauge("sim.channel_wait_us").set(result.channel_wait_us)
-        reg.gauge("sim.die_wait_us").set(result.die_wait_us)
-        elapsed_us = result.makespan_us
-        for res in (*self.channels, *self.dies):
-            reg.gauge(f"util.{res.name}.busy_fraction").set(
-                res.utilization(elapsed_us)
-            )
-        if self.buffer is not None:
-            self.buffer.stats.publish(reg)
-        if self.faults is not None:
-            self.faults.publish(reg)
-        if self.obs.profiler is not None:
-            self.obs.profiler.publish(reg)
-        if result.breakdown is not None:
-            reg.counter("attr.requests").value = result.breakdown.requests
-            for phase, total_us in result.breakdown.phase_totals_us.items():
-                reg.gauge(f"attr.{phase}").set(total_us)
 
     # ------------------------------------------------------------------
     def _make_submit(self, req: IORequest):
         def submit() -> None:
-            if self.on_submit is not None:
-                self.on_submit(req)
-            tr = self._trace
-            if tr is not None:
-                tr.emit(
-                    self.loop.now, "request_submit", f"w{req.workload_id}",
-                    "host", args={
-                        "op": req.op.name, "lpn": req.lpn, "len": req.length,
-                    },
-                )
+            if self._on_submit is not None:
+                self._on_submit(req, self.loop.now)
             key = self._next_req_key
             self._next_req_key += 1
             flight = _InFlight(req)
@@ -418,10 +325,8 @@ class SSDSimulator:
             # Absorbed write or DRAM read hit: completes at DRAM latency.
             dram_us = self.buffer.config.dram_latency_us
             done = self.loop.now + dram_us
-            span = None
-            attribution = self._attribution
-            if attribution is not None:
-                span = attribution.span(-1, -1)
+            span = self._span(-1, -1) if self._span is not None else None
+            if span is not None:
                 span.buffer_us = dram_us
             self.loop.schedule(done, lambda: self._complete_page(key, span=span))
             return True
@@ -434,7 +339,7 @@ class SSDSimulator:
         bus = self._channel_of_ppn(ppn)
         t = self.times
         if gc_items:
-            self._charge_gc(gc_items)
+            self._charge_gc(wid, gc_items)
 
         def bus_granted(start: float) -> None:
             done = start + t.write_bus_us
@@ -453,20 +358,11 @@ class SSDSimulator:
         die = self._die_of_ppn(ppn)
         bus = self._channel_of_ppn(ppn)
         t = self.times
-        if self._trace is not None:
-            self._dispatch_event(wid, lpn, ppn, "read", die, bus)
-
         prio = self._read_prio
         die_us = t.read_die_us
-        span = None
-        attribution = self._attribution
-        if attribution is not None:
-            geom = self.controller.geometry
-            span = attribution.span(
-                geom.channel_of(ppn),
-                geom.plane_index(ppn) // self._planes_per_die,
-            )
+        span = self._page_span(ppn) if self._span is not None else None
         unrecoverable = False
+        outcome = None
         if self.faults is not None:
             geom = self.controller.geometry
             plane = self.controller.state.planes[geom.plane_index(ppn)]
@@ -478,13 +374,9 @@ class SSDSimulator:
                 # Each ECC retry re-senses the array: the die stays busy for
                 # one extra command+tR round per retry.
                 die_us = t.read_die_with_retries_us(outcome.retries)
-                if self._trace is not None:
-                    self._trace.emit(
-                        self.loop.now, "read_retry", die.name, "faults",
-                        args={"ppn": ppn, "retries": outcome.retries,
-                              "unrecoverable": outcome.unrecoverable},
-                    )
             unrecoverable = outcome.unrecoverable
+        if self._on_dispatch is not None:
+            self._on_dispatch(self.loop.now, wid, lpn, ppn, "read", die, bus, outcome)
 
         def die_granted(start: float) -> None:
             done = start + die_us
@@ -522,18 +414,11 @@ class SSDSimulator:
         die = self._die_of_ppn(ppn)
         bus = self._channel_of_ppn(ppn)
         t = self.times
-        if self._trace is not None:
-            self._dispatch_event(wid, lpn, ppn, "write", die, bus)
+        if self._on_dispatch is not None:
+            self._on_dispatch(self.loop.now, wid, lpn, ppn, "write", die, bus)
         if gc_items:
-            self._charge_gc(gc_items)
-        span = None
-        attribution = self._attribution
-        if attribution is not None:
-            geom = self.controller.geometry
-            span = attribution.span(
-                geom.channel_of(ppn),
-                geom.plane_index(ppn) // self._planes_per_die,
-            )
+            self._charge_gc(wid, gc_items)
+        span = self._page_span(ppn) if self._span is not None else None
 
         def bus_granted(start: float) -> None:
             done = start + t.write_bus_us
@@ -560,14 +445,14 @@ class SSDSimulator:
             span.bus_enqueued(self.loop.now)
         bus.acquire((PRIO_WRITE, self.loop.now), t.write_bus_us, bus_granted)
 
-    def _dispatch_event(self, wid, lpn, ppn, op, die, bus) -> None:
-        """Emit one ``subrequest_dispatch`` trace record (tracing only)."""
-        self._trace.emit(
-            self.loop.now, "subrequest_dispatch", bus.name, "sim",
-            args={"wid": wid, "lpn": lpn, "ppn": ppn, "op": op, "die": die.name},
+    def _page_span(self, ppn: int):
+        """Attribution timeline for one page at ``ppn`` (span hook armed)."""
+        geom = self.controller.geometry
+        return self._span(
+            geom.channel_of(ppn), geom.plane_index(ppn) // self._planes_per_die
         )
 
-    def _charge_gc(self, items: list) -> None:
+    def _charge_gc(self, wid: int, items: list) -> None:
         """Charge die time for FTL background work done on behalf of a write.
 
         ``items`` mixes :class:`~repro.ssd.ftl.gc.GCWorkItem` (copyback +
@@ -575,44 +460,22 @@ class SSDSimulator:
         :class:`~repro.ssd.faults.FaultWorkItem` (relocation out of a block
         being retired); both expose ``die_us(times)``.
         """
+        if self._on_gc_charge is not None:
+            self._on_gc_charge(wid, len(items))
         t = self.times
-        tr = self._trace
+        on_gc_start = self._on_gc_start
         for item in items:
             die = self.dies[item.plane_index // self._planes_per_die]
             duration_us = item.die_us(t)
-            if tr is None:
 
-                def book(start, die=die, duration_us=duration_us):
-                    # booked at grant time so waiting host jobs can sample
-                    # the overlap (see Resource.gc_busy_time_us)
-                    die.gc_busy_time_us += duration_us
+            def book(start, die=die, item=item, duration_us=duration_us):
+                # booked at grant time so waiting host jobs can sample
+                # the overlap (see Resource.gc_busy_time_us)
+                die.gc_busy_time_us += duration_us
+                if on_gc_start is not None:
+                    on_gc_start(die, item, start, duration_us)
 
-                die.acquire((PRIO_GC, self.loop.now), duration_us, book)
-            else:
-                is_gc = isinstance(item, GCWorkItem)
-                retired = not is_gc or item.retired
-
-                def on_grant(start, die=die, item=item, duration_us=duration_us,
-                             is_gc=is_gc, retired=retired):
-                    die.gc_busy_time_us += duration_us
-                    if is_gc:
-                        tr.emit(
-                            start, "gc_start", die.name, "gc",
-                            args={"plane": item.plane_index, "block": item.block,
-                                  "moves": item.moves},
-                        )
-                        self.loop.schedule(
-                            start + duration_us,
-                            lambda: tr.emit(self.loop.now, "gc_end", die.name, "gc"),
-                        )
-                    if retired:
-                        tr.emit(
-                            start, "block_retired", die.name, "faults",
-                            args={"plane": item.plane_index, "block": item.block,
-                                  "moves": item.moves},
-                        )
-
-                die.acquire((PRIO_GC, self.loop.now), duration_us, on_grant)
+            die.acquire((PRIO_GC, self.loop.now), duration_us, book)
 
     def _complete_page(self, key: int, failed: bool = False, span=None) -> None:
         flight = self._inflight[key]
@@ -635,38 +498,12 @@ class SSDSimulator:
                 # Unrecoverable read: the request surfaces as failed, and its
                 # latency is excluded from the success statistics.
                 self.failed_reads += 1
-                if self._registry is not None:
-                    self._registry.counter("sim.failed_reads").inc()
-                if self._flightrec is not None:
-                    self._flightrec.dump_once(
-                        "unrecoverable-read",
-                        detail=(
-                            f"wid={req.workload_id} lpn={req.lpn} "
-                            f"len={req.length}"
-                        ),
-                        time_us=self.loop.now,
-                    )
             else:
                 self.acc.add(req.workload_id, req.op, req.latency_us)
-                if self._hist is not None:
-                    self._hist[req.op].observe(req.latency_us)
-                if self._tenant_hist is not None:
-                    hist = self._tenant_hist.get((req.workload_id, req.op))
-                    if hist is None:
-                        kind = "read" if req.op is OpType.READ else "write"
-                        hist = self._registry.histogram(
-                            f"sim.tenant.{req.workload_id}.{kind}_latency_us"
-                        )
-                        self._tenant_hist[(req.workload_id, req.op)] = hist
-                    hist.observe(req.latency_us)
-                if self._attribution is not None and flight.span is not None:
-                    self._attribution.record(req, flight.span)
             del self._inflight[key]
             self.requests_done += 1
-            if self._registry is not None:
-                self._registry.counter("sim.requests").inc()
-            if self.on_complete is not None:
-                self.on_complete(req)
+            if self._on_complete is not None:
+                self._on_complete(req, self.loop.now, flight.failed, flight.span)
 
 
 def simulate(
@@ -678,11 +515,10 @@ def simulate(
     record_latencies: bool = False,
     obs=None,
     faults: "FaultConfig | FaultInjector | None" = None,
-    sanitizer=None,
 ) -> SimulationResult:
     """One-shot convenience wrapper around :class:`SSDSimulator`."""
     sim = SSDSimulator(
         config, channel_sets, page_modes, record_latencies=record_latencies,
-        obs=obs, faults=faults, sanitizer=sanitizer,
+        obs=obs, faults=faults,
     )
     return sim.run(requests)

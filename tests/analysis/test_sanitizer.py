@@ -45,7 +45,7 @@ class TestMappingBijectivity:
     def test_attached_sanitizer_checks_each_bind(self):
         mapping = MappingTable()
         sanitizer = Sanitizer()
-        mapping.attach_sanitizer(sanitizer)
+        mapping.attach(sanitizer)
         mapping.bind(1, 10)
         mapping.bind(2, 20)
         mapping.unbind_ppn(10)
@@ -88,8 +88,8 @@ class TestResourceMutualExclusion:
         loop = EventLoop()
         channel = Resource(loop, name="ch0", kind="channel")
         sanitizer = Sanitizer()
-        loop.sanitizer = sanitizer
-        channel.sanitizer = sanitizer
+        loop.attach(sanitizer)
+        channel.attach(sanitizer)
         starts = []
         for _ in range(4):
             channel.acquire((0, loop.now, 0), 7.0, starts.append)
@@ -101,7 +101,7 @@ class TestResourceMutualExclusion:
 class TestEventTimeMonotonicity:
     def test_skewed_event_detected(self):
         loop = EventLoop()
-        loop.sanitizer = Sanitizer()
+        loop.attach(Sanitizer())
         loop.schedule(10.0, lambda: None)
         loop.run()
         assert loop.now == 10.0
@@ -115,7 +115,7 @@ class TestEventTimeMonotonicity:
     def test_normal_run_is_clean(self):
         loop = EventLoop()
         sanitizer = Sanitizer()
-        loop.sanitizer = sanitizer
+        loop.attach(sanitizer)
         for t in (3.0, 1.0, 2.0):
             loop.schedule(t, lambda: None)
         loop.run()

@@ -15,7 +15,7 @@ import pytest
 
 from repro.analysis import Sanitizer
 from repro.obs import DRAM_CHANNEL, PHASE_NAMES, Observability
-from repro.ssd import FaultConfig, SSDConfig, simulate
+from repro.ssd import FaultConfig, SSDConfig, probes, simulate
 from repro.ssd.buffer import BufferConfig
 from repro.ssd.simulator import SSDSimulator
 from repro.workloads import WorkloadSpec, synthesize_mix
@@ -106,7 +106,7 @@ class TestSanitizerIntegration:
         obs = Observability(attribution=True)
         sanitizer = Sanitizer()
         result = simulate(requests, config, sets, record_latencies=True,
-                          obs=obs, faults=faults, sanitizer=sanitizer)
+                          obs=probes(obs, sanitizer), faults=faults)
         stats = sanitizer.stats()
         assert stats["attribution_checks"] == result.requests
         assert all(v > 0 for v in stats.values()), stats

@@ -21,7 +21,7 @@ from repro.analysis import Sanitizer
 from repro.obs import Observability
 from repro.obs.critpath import extract_critical_path
 from repro.obs.whatif import run_whatif
-from repro.ssd import FaultConfig, SSDConfig, simulate
+from repro.ssd import FaultConfig, SSDConfig, probes, simulate
 from repro.workloads import WorkloadSpec, synthesize_mix
 
 TOLERANCE_US = 1e-6
@@ -49,7 +49,7 @@ def explained_run():
     obs = Observability(attribution=True)
     sanitizer = Sanitizer()
     result = simulate(requests, config, sets, record_latencies=True,
-                      obs=obs, faults=faults, sanitizer=sanitizer)
+                      obs=probes(obs, sanitizer), faults=faults)
     report = extract_critical_path(
         obs.attribution.records, result.makespan_us,
         tolerance_us=TOLERANCE_US, sanitizer=sanitizer,

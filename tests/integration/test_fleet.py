@@ -12,6 +12,7 @@ from repro.harness.fleetlab import (
 )
 from repro.obs.fleet import merge_histograms
 from repro.ssd.fleet import Fleet, seeded_placement
+from repro.ssd.probe import Probe, probes
 from repro.ssd.simulator import SSDSimulator
 
 DEVICES = 3
@@ -100,9 +101,16 @@ class TestMigrationSpan:
         log (within 1e-6 us)."""
         fleet, traces, migrations = bare_fleet()
         completions = []
-        fleet.on_complete = lambda dev, req: completions.append(
-            (dev, req.workload_id, req.complete_us)
-        )
+
+        class Log(Probe):
+            def __init__(self, dev):
+                self.dev = dev
+
+            def on_complete(self, req, now_us, failed, span):
+                completions.append((self.dev, req.workload_id, req.complete_us))
+
+        for dev, sim in enumerate(fleet.sims):
+            sim.attach(probes(sim.probe, Log(dev)))
         result = fleet.run(traces, migrations)
         [rec] = result.migrations
         dst_times = [

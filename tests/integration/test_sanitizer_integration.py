@@ -53,7 +53,7 @@ class TestFullRunUnderSanitizer:
         config = gc_config()
         sanitizer = Sanitizer()
         sim = SSDSimulator(
-            config, split_sets(config), faults=FAULTS, sanitizer=sanitizer
+            config, split_sets(config), faults=FAULTS, obs=sanitizer
         )
         result = sim.run(two_tenant_trace())
         return sim, result, sanitizer
@@ -91,7 +91,7 @@ class TestFullRunUnderSanitizer:
             config,
             split_sets(config),
             faults=FAULTS,
-            sanitizer=sanitizer,
+            obs=sanitizer,
         )
         assert result.requests == 400
         assert sanitizer.stats()["events_checked"] > 0

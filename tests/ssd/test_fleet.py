@@ -9,6 +9,7 @@ from repro.ssd.fleet import (
     MigrationRecord,
     seeded_placement,
 )
+from repro.ssd.probe import Probe
 from repro.ssd.request import IORequest, OpType
 from repro.ssd.simulator import SSDSimulator
 
@@ -178,9 +179,13 @@ class TestMigration:
     def test_hooks_fire(self):
         traces = make_traces(2, per_tenant=20)
         placement = {0: 0, 1: 1}
-        fleet = Fleet(make_sims(2, 2), placement=placement)
         completions, started, closed = [], [], []
-        fleet.on_complete = lambda dev, req: completions.append(dev)
+
+        class Completions(Probe):
+            def on_complete(self, req, now_us, failed, span):
+                completions.append(req)
+
+        fleet = Fleet(make_sims(2, 2, obs=Completions()), placement=placement)
         fleet.on_migration = lambda rec: started.append(rec.tenant)
         fleet.on_migration_complete = lambda rec: closed.append(rec.span_us)
         mid = traces[0][10].arrival_us

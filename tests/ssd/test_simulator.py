@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ssd import IORequest, OpType, ServiceTimes, SSDSimulator, simulate
+from repro.ssd import IORequest, OpType, Probe, ServiceTimes, SSDSimulator, simulate
 
 
 def shared_sets(n_tenants=1, channels=8):
@@ -151,7 +151,12 @@ class TestResultIntegrity:
 
     def test_on_submit_hook_sees_every_request(self, small_config):
         seen = []
-        sim = SSDSimulator(small_config, shared_sets(), on_submit=seen.append)
+
+        class Submits(Probe):
+            def on_submit(self, req, now_us):
+                seen.append(req)
+
+        sim = SSDSimulator(small_config, shared_sets(), obs=Submits())
         reqs = [read(float(i), i) for i in range(10)]
         sim.run(reqs)
         assert len(seen) == 10
