@@ -21,11 +21,20 @@ strategy-*ranking* agreement against the DES in
 * dynamic page allocation approximated by write-sequence striping over the
   tenant's planes (captures the load spreading, not the instantaneous-load
   adaptivity).
+
+Every die and channel bus is a :class:`_GapTimeline`.  A run books them by
+one of three routes, each bit-identical to one ``place`` call per phase in
+sub-request order (see ``FastLatencyModel._timeline_us``): a tail recursion
+where ``place`` provably never backfills (a resource whose request times
+never decrease; the bus stage of a read-only run while a transfer outlasts
+a sense), per-resource gap timelines for any other stage of a run of one op
+type, and an interleaved loop for runs mixing reads and writes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -59,14 +68,9 @@ class FastLatencyModel:
         page_modes: Mapping[int, PageAllocMode] | None = None,
         *,
         record_latencies: bool = False,
-        obs=None,
         faults: FaultConfig | None = None,
     ) -> None:
         self.config = config
-        #: optional :class:`repro.obs.Observability`; the fast model has no
-        #: event stream to trace, but it publishes request counts and
-        #: latency histograms into the registry after each run
-        self.obs = obs
         self.geometry = Geometry(config)
         self.times = ServiceTimes.from_config(config)
         self.channel_sets = {wid: sorted(set(chs)) for wid, chs in channel_sets.items()}
@@ -119,23 +123,15 @@ class FastLatencyModel:
         return planes[np.arange(count, dtype=np.int64) % len(planes)]
 
     # ------------------------------------------------------------------
-    def run(self, requests: Iterable[IORequest]) -> SimulationResult:
-        """Approximately simulate ``requests``; same result type as the DES."""
-        ordered = sorted(requests, key=lambda r: r.arrival_us)
-        n_req = len(ordered)
-        if n_req == 0:
-            return build_result(
-                LatencyAccumulator(self.record_latencies),
-                makespan_us=0.0,
-                requests=0,
-                subrequests=0,
-            )
-
-        lengths = np.array([r.length for r in ordered], dtype=np.int64)
-        req_arrival_us = np.array([r.arrival_us for r in ordered])
-        req_op = np.array([int(r.op) for r in ordered], dtype=np.int8)
-        req_wid = np.array([r.workload_id for r in ordered], dtype=np.int64)
-        req_lpn = np.array([r.lpn for r in ordered], dtype=np.int64)
+    def run(self, requests: Iterable[IORequest] | np.ndarray) -> SimulationResult:
+        """Approximately simulate ``requests`` (or :func:`_trace` rows); same
+        result type as the DES."""
+        trace = _trace(requests)
+        n_req = len(trace)
+        req_arrival_us, req_op, req_wid, req_lpn, lengths = (trace[f] for f in _TRACE.names)
+        unknown = set(req_wid.tolist()) - set(self.channel_sets)
+        if unknown:
+            raise KeyError(f"unknown workload ids in trace: {sorted(unknown)}")
 
         # Expand to sub-requests.
         total = int(lengths.sum())
@@ -152,25 +148,10 @@ class FastLatencyModel:
         plane_idx = np.empty(total, dtype=np.int64)
         for wid, channels in self.channel_sets.items():
             mask = sub_wid == wid
-            if not mask.any():
-                continue
-            is_write = mask & (sub_op == int(OpType.WRITE))
-            is_read = mask & (sub_op == int(OpType.READ))
-            if is_read.any():
-                plane_idx[is_read] = self._static_planes(sub_lpn[is_read], channels)
-            if is_write.any():
-                if self.page_modes[wid] is PageAllocMode.STATIC:
-                    plane_idx[is_write] = self._static_planes(
-                        sub_lpn[is_write], channels
-                    )
-                else:
-                    plane_idx[is_write] = self._sequence_planes(
-                        int(is_write.sum()), channels
-                    )
-        unknown = set(np.unique(sub_wid)) - set(self.channel_sets)
-        if unknown:
-            raise KeyError(f"unknown workload ids in trace: {sorted(unknown)}")
-
+            plane_idx[mask] = self._static_planes(sub_lpn[mask], channels)
+            if self.page_modes[wid] is not PageAllocMode.STATIC:
+                writes = mask & (sub_op == int(OpType.WRITE))
+                plane_idx[writes] = self._sequence_planes(int(writes.sum()), channels)
         die_idx = plane_idx // self.config.planes_per_die
         chan_idx = plane_idx // self._planes_per_channel
 
@@ -189,25 +170,12 @@ class FastLatencyModel:
                     continue
                 acc.set_stats(wid, op, _bulk_stats(latencies_us[mask], self.record_latencies))
 
-        result = build_result(
+        return build_result(
             acc,
-            makespan_us=float(req_end_us.max()),
+            makespan_us=float(req_end_us.max(initial=0.0)),
             requests=n_req,
             subrequests=total,
         )
-        if self.obs is not None:
-            reg = self.obs.registry
-            reg.counter("fastmodel.requests").inc(n_req)
-            reg.counter("fastmodel.subrequests").inc(total)
-            reg.gauge("fastmodel.makespan_us").set(result.makespan_us)
-            for op, name in (
-                (OpType.READ, "fastmodel.read_latency_us"),
-                (OpType.WRITE, "fastmodel.write_latency_us"),
-            ):
-                mask = req_op == int(op)
-                if mask.any():
-                    reg.histogram(name).observe_many(latencies_us[mask].tolist())
-        return result
 
     # ------------------------------------------------------------------
     def _timeline_us(
@@ -217,7 +185,7 @@ class FastLatencyModel:
         die_idx: np.ndarray,
         chan_idx: np.ndarray,
     ) -> np.ndarray:
-        """Sequential resource-timeline pass; returns per-sub-request end.
+        """Resource-timeline pass; returns per-sub-request end.
 
         Resources are *gap-aware* timelines (:class:`_GapTimeline`): when an
         operation's resource-request time lands inside an idle window left
@@ -226,6 +194,22 @@ class FastLatencyModel:
         tail), it backfills that window — matching the work-conserving
         behaviour of the event-driven engine instead of cascading phantom
         queueing.
+
+        The result is one ``place`` call per phase in sub-request order
+        (``arrival`` is sorted), computed exactly by three routes.  A run of
+        one op type books its two stages on disjoint resources, so
+        :func:`_stage_us` runs them in turn, taking the tail recursion
+        where ``place`` provably never backfills and a gap timeline
+        elsewhere.  Write-only runs recurse on both stages (buses see sorted
+        arrivals, each die its channel's rising bus ends), read-only runs on
+        the die stage, and on the bus stage too while a transfer outlasts a
+        sense (``read_bus >= read_die``).  Then a bus gap opens only at a
+        read whose die was idle: it asks for the bus at ``arrival +
+        read_die``, and no later read asks earlier.  A read whose die
+        queued asks ``read_die`` after the previous read on that die did,
+        while the bus is still busy with that one.  A run mixing reads and
+        writes books each resource in both phases, so it interleaves the
+        ``place`` calls.
         """
         t = self.times
         read_die = t.read_die_us
@@ -235,26 +219,51 @@ class FastLatencyModel:
         if self.fault_expectation is not None:
             read_die *= self.fault_expectation.read_die_multiplier
             write_die *= self.fault_expectation.write_die_multiplier
+        writes = op == int(OpType.WRITE)
+        if writes.all():
+            return _stage_us(_stage_us(arrival, chan_idx, write_bus), die_idx, write_die)
+        if not writes.any():
+            die_end_us = _stage_us(arrival, die_idx, read_die)
+            return _stage_us(die_end_us, chan_idx, read_bus, tail_only=read_bus >= read_die)
         dies = [_GapTimeline() for _ in range(self.config.dies)]
         chans = [_GapTimeline() for _ in range(self.config.channels)]
-        ends_us = np.empty(len(arrival))
-        arrival_l = arrival.tolist()
-        op_l = op.tolist()
-        die_l = die_idx.tolist()
-        chan_l = chan_idx.tolist()
-        write_code = int(OpType.WRITE)
-        for i in range(len(arrival_l)):
-            a = arrival_l[i]
-            die = dies[die_l[i]]
-            chan = chans[chan_l[i]]
-            if op_l[i] == write_code:
-                be = chan.place(a, write_bus)
-                e = die.place(be, write_die)
+        ends_us = []
+        for a, w, d, c in zip(
+            arrival.tolist(), writes.tolist(), die_idx.tolist(), chan_idx.tolist()
+        ):
+            if w:
+                ends_us.append(dies[d].place(chans[c].place(a, write_bus), write_die))
             else:
-                de = die.place(a, read_die)
-                e = chan.place(de, read_bus)
-            ends_us[i] = e
-        return ends_us
+                ends_us.append(chans[c].place(dies[d].place(a, read_die), read_bus))
+        return np.array(ends_us)
+
+
+def _stage_us(
+    request_us: np.ndarray, resource: np.ndarray, dur: float, *, tail_only: bool = False
+) -> np.ndarray:
+    """End times of one stage, each resource booking its requests in index
+    order as a fresh :class:`_GapTimeline` would.
+
+    Where ``place`` never backfills, each end is ``max(rt, tail) + dur``:
+    its tail branch, same float operations.  That holds on a resource whose
+    request times never decrease (every gap ends at or before the next
+    request, and no job with ``dur > 0`` fits), and wherever the caller
+    proved it (``tail_only``).
+    """
+    order = np.argsort(resource, kind="stable")
+    cuts = np.flatnonzero(np.diff(resource[order])) + 1
+    booked: list[float] = []
+    for rts in np.split(request_us[order], cuts):
+        rts = rts.tolist()
+        if tail_only or rts == sorted(rts):
+            tail = 0.0
+            booked += [tail := (rt if rt > tail else tail) + dur for rt in rts]
+        else:
+            place = _GapTimeline().place
+            booked += [place(rt, dur) for rt in rts]
+    ends_us = np.empty(len(order))
+    ends_us[order] = booked
+    return ends_us
 
 
 class _GapTimeline:
@@ -266,12 +275,17 @@ class _GapTimeline:
     of every future job are pruned lazily — request times never decrease by
     more than the die/bus phase offsets, so a small horizon suffices.
 
+    The gaps are disjoint, longer than 1e-9 and in time order, stored as
+    the increasing lists ``starts`` and ``ends``.  None ends after the tail,
+    and one ending before ``rt`` cannot hold ``dur >= 0``, so the first-fit
+    scan starts at ``bisect_left(ends, rt)``, and only if ``rt < tail``.
+
     The state (tail, gaps, pruning) depends only on the sequence of
     ``place`` calls made on this one timeline, so a run restricted to the
     tenants that reach it books it identically.
     """
 
-    __slots__ = ("tail", "gaps")
+    __slots__ = ("tail", "starts", "ends")
 
     #: gaps ending this far before a new request are dropped (us); phase
     #: offsets (tR, tPROG) are far below this.
@@ -279,43 +293,68 @@ class _GapTimeline:
 
     def __init__(self) -> None:
         self.tail = 0.0
-        self.gaps: list[list[float]] = []
+        self.starts: list[float] = []
+        self.ends: list[float] = []
+
+    @property
+    def gaps(self) -> list[list[float]]:
+        """The remembered idle gaps as ``[start, end]`` pairs, oldest first."""
+        return [[s, e] for s, e in zip(self.starts, self.ends)]
 
     def place(self, rt: float, dur: float) -> float:
         """Book service requested at ``rt`` for ``dur``; return its end."""
-        gaps = self.gaps
-        if gaps:
-            prune_before = rt - self._PRUNE_HORIZON
-            while gaps and gaps[0][1] <= prune_before:
-                gaps.pop(0)
-            for gi in range(len(gaps)):
-                gap = gaps[gi]
-                gap_start = gap[0]
-                start = rt if rt > gap_start else gap_start
-                if gap[1] - start >= dur:
-                    end = start + dur
-                    if start - gap_start > 1e-9:
-                        # keep the head of the gap; tail shrinks/splits
-                        old_end = gap[1]
-                        gap[1] = start
-                        if old_end - end > 1e-9:
-                            gaps.insert(gi + 1, [end, old_end])
-                    else:
-                        gap[0] = end
-                        if gap[1] - end <= 1e-9:
-                            del gaps[gi]
-                    return end
+        starts = self.starts
+        ends = self.ends
         tail = self.tail
+        if ends:
+            prune_before = rt - self._PRUNE_HORIZON
+            if ends[0] <= prune_before:
+                k = bisect_right(ends, prune_before)
+                del starts[:k], ends[:k]
+            if rt < tail:
+                for gi in range(bisect_left(ends, rt), len(ends)):
+                    gap_start = starts[gi]
+                    gap_end = ends[gi]
+                    start = rt if rt > gap_start else gap_start
+                    if gap_end - start >= dur:
+                        end = start + dur
+                        if start - gap_start > 1e-9:
+                            # keep the head of the gap; tail shrinks/splits
+                            ends[gi] = start
+                            if gap_end - end > 1e-9:
+                                starts.insert(gi + 1, end)
+                                ends.insert(gi + 1, gap_end)
+                        else:
+                            starts[gi] = end
+                            if gap_end - end <= 1e-9:
+                                del starts[gi], ends[gi]
+                        return end
         if rt > tail:
             if rt - tail > 1e-9:
-                gaps.append([tail, rt])
-                if len(gaps) > 32:
-                    gaps.pop(0)  # bound the memory; oldest gaps matter least
+                starts.append(tail)
+                ends.append(rt)
+                if len(ends) > 32:
+                    del starts[0], ends[0]  # bound the memory; oldest gaps matter least
             end = rt + dur
         else:
             end = tail + dur
         self.tail = end
         return end
+
+
+#: the fast model's trace: one row per request
+_TRACE = np.dtype([("arrival_us", np.float64), ("op", np.int8), ("wid", np.int64),
+                   ("lpn", np.int64), ("length", np.int64)])
+
+
+def _trace(requests: Iterable[IORequest] | np.ndarray) -> np.ndarray:
+    """Requests as :data:`_TRACE` rows, stably sorted by arrival; rows that
+    already are (a slice of) such a trace are returned as they are."""
+    if isinstance(requests, np.ndarray) and requests.dtype == _TRACE:
+        return requests
+    rows = np.array([(r.arrival_us, int(r.op), r.workload_id, r.lpn, r.length)
+                     for r in requests], dtype=_TRACE)
+    return rows[np.argsort(rows["arrival_us"], kind="stable")]
 
 
 def _bulk_stats(latencies_us: np.ndarray, record: bool) -> OpStats:
@@ -338,13 +377,12 @@ def fast_simulate(
     page_modes: Mapping[int, PageAllocMode] | None = None,
     *,
     record_latencies: bool = False,
-    obs=None,
     faults: FaultConfig | None = None,
 ) -> SimulationResult:
     """One-shot convenience wrapper around :class:`FastLatencyModel`."""
     model = FastLatencyModel(
         config, channel_sets, page_modes, record_latencies=record_latencies,
-        obs=obs, faults=faults,
+        faults=faults,
     )
     return model.run(requests)
 
@@ -365,12 +403,12 @@ def fast_sweep(
     are interchangeable, so a group's timeline is fixed by its tenants and
     their channel sets renumbered densely from 0: the same tenant on a
     one-channel slice is one group wherever the slice sits.  Each distinct
-    group runs once, on its own tenants' requests, and each strategy is
-    assembled from its groups.
+    group runs once, on its own tenants' rows of the trace (converted and
+    sorted once), and each strategy is assembled from its groups.
     """
-    ordered = sorted(requests, key=lambda r: r.arrival_us)
-    present = {r.workload_id for r in ordered}
-    subrequests = sum(r.length for r in ordered)
+    trace = _trace(requests)
+    present = set(trace["wid"].tolist())
+    subrequests = int(trace["length"].sum())
     runs: dict[tuple, SimulationResult] = {}
     results = []
     for channel_sets in channel_sets_per_strategy:
@@ -389,9 +427,8 @@ def fast_sweep(
             key = tuple((wid, tuple(sets[wid])) for wid in tenants)
             run = runs.get(key)
             if run is None:
-                group = set(tenants)
                 run = runs[key] = FastLatencyModel(config, sets, page_modes).run(
-                    [r for r in ordered if r.workload_id in group]
+                    trace[np.logical_or.reduce([trace["wid"] == w for w in tenants])]
                 )
             group_of.update(dict.fromkeys(tenants, run))
         # Same (sorted tenant, READ then WRITE) insertion order as ``run``,
@@ -410,7 +447,7 @@ def fast_sweep(
                 makespan_us=max(
                     (run.makespan_us for run in group_of.values()), default=0.0
                 ),
-                requests=len(ordered),
+                requests=len(trace),
                 subrequests=subrequests,
             )
         )

@@ -9,8 +9,10 @@ from repro.core.hybrid import PagePolicy, page_modes_for
 from repro.core.strategies import StrategySpace
 from repro.ssd import (
     FastLatencyModel,
+    FaultConfig,
     IORequest,
     OpType,
+    PageAllocMode,
     ServiceTimes,
     SSDConfig,
     fast_simulate,
@@ -240,3 +242,82 @@ class TestFastSweep:
         assert all(
             min(chs) == 0 for sets in runs for chs in sets.values() if len(sets) == 1
         )
+
+
+class TestPinnedResults:
+    """Exact results on fixed traces; any change to the timeline's float
+    arithmetic, however small, shows here."""
+
+    SETS = {0: [0, 1, 2, 3, 4], 1: [3, 4, 5, 6, 7]}
+    #: (read total, read max, write total, write max, makespan) in us
+    PINNED = {
+        ("write", "static", "clean"): (
+            0.0, 0.0, 829698.3216595706,
+            5084.573864986814, 35006.18625961637,
+        ),
+        ("write", "dynamic", "clean"): (
+            0.0, 0.0, 468197.20375075086,
+            2975.6633765034385, 32878.43546956959,
+        ),
+        ("write", "static", "faults"): (
+            0.0, 0.0, 873239.7722313199,
+            5286.573864986814, 35210.18625961637,
+        ),
+        ("read", "static", "clean"): (
+            46202.48546194534, 199.45916784211295, 0.0,
+            0.0, 30057.382528007463,
+        ),
+        ("read", "dynamic", "clean"): (
+            46202.48546194534, 199.45916784211295, 0.0,
+            0.0, 30057.382528007463,
+        ),
+        ("read", "static", "faults"): (
+            46840.30046194514, 200.52219284211242, 0.0,
+            0.0, 30058.445553007463,
+        ),
+        ("mixed", "static", "clean"): (
+            62259.272705337615, 950.2826265208023, 122931.22002142842,
+            1087.9155976283218, 30990.68769069447,
+        ),
+        ("mixed", "dynamic", "clean"): (
+            50931.41385838005, 1031.2727341255195, 109690.52788189006,
+            1036.193697582199, 31000.125790648348,
+        ),
+        ("mixed", "static", "faults"): (
+            63422.58413458144, 982.6607765207991, 124778.57507231111,
+            1118.3594279809658, 31016.68769069447,
+        ),
+        ("mixed", "dynamic", "faults"): (
+            51774.17364521545, 940.2862575952895, 110067.7918500962,
+            944.1441960519696, 30909.139314118118,
+        ),
+    }
+
+    @staticmethod
+    def trace(kind):
+        """600 requests of two tenants in 30 ms: reads, writes or both."""
+        rng = np.random.default_rng(20200525)
+        ops = {"write": (OpType.WRITE,) * 2, "read": (OpType.READ,) * 2,
+               "mixed": (OpType.WRITE, OpType.READ)}[kind]
+        return [
+            IORequest(
+                arrival_us=float(rng.uniform(0, 30_000)),
+                workload_id=wid,
+                op=ops[wid],
+                lpn=int(rng.integers(0, 8192)),
+                length=int(rng.integers(1, 5)),
+            )
+            for wid in (0, 1)
+            for _ in range(300)
+        ]
+
+    @pytest.mark.parametrize("case", list(PINNED), ids="-".join)
+    def test_fast_simulate_is_pinned(self, case):
+        kind, mode, faults = case
+        modes = dict.fromkeys(self.SETS, PageAllocMode[mode.upper()])
+        faults = FaultConfig(read_ber=0.05, program_fail_rate=0.01) if faults == "faults" else None
+        result = fast_simulate(self.trace(kind), SSDConfig.small(), self.SETS, modes,
+                               faults=faults)
+        got = (result.read.total_us, result.read.max_us, result.write.total_us,
+               result.write.max_us, result.makespan_us)
+        assert got == self.PINNED[case]
