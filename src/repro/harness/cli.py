@@ -15,7 +15,6 @@ Usage::
     python -m repro faults --read-ber 0.02 --program-fail-rate 0.001
     python -m repro lint src/repro/ssd --select R001,R004 --json
     python -m repro explain --scenario gc_heavy --sanitize
-    python -m repro profile --scenario gc_heavy --top 25
     python -m repro drift --scenario migrating_hotspot --sanitize
     python -m repro drift --scenario phase_change --poison --json
     python -m repro fleet --devices 3 --tenants 6 --seed 7
@@ -40,11 +39,9 @@ pool safety) — and forwards its arguments to ``python -m repro.analysis``
 (``--json`` / ``--sarif`` / ``--changed`` / ``--baseline`` included).
 ``explain`` reconstructs the run-level critical path of a seeded
 scenario (:mod:`repro.harness.scenarios`) and sweeps exact
-counterfactuals (:mod:`repro.harness.explain`);
-``profile`` cProfiles a scenario's host hot paths
-(:mod:`repro.harness.hostprofile`).  ``drift`` plays an adversarial
-tenant scenario through the hardened adaptive keeper and the one-shot
-paper keeper side by side (:mod:`repro.harness.driftlab`): drift
+counterfactuals (:mod:`repro.harness.explain`).  ``drift`` plays an
+adversarial tenant scenario through the hardened adaptive keeper and the
+one-shot paper keeper side by side (:mod:`repro.harness.driftlab`): drift
 detections, guarded retrains with promote-or-rollback outcomes, and the
 latency comparison, all seeded and byte-identical across invocations.
 ``fleet`` runs a seeded N-device, M-tenant scenario under the fleet
@@ -403,10 +400,6 @@ def main(argv: list[str] | None = None) -> int:
         from .explain import main as explain_main
 
         return explain_main(argv[1:])
-    if argv and argv[0] == "profile":
-        from .hostprofile import main as profile_main
-
-        return profile_main(argv[1:])
     if argv and argv[0] == "drift":
         from .driftlab import main as drift_main
 
@@ -431,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
         "'faults' is the same run under the seeded NAND fault model; "
         "'repro lint [paths]' runs the domain lints R001-R007; "
         "'repro explain' reconstructs a scenario's critical path and sweeps "
-        "exact counterfactuals; 'repro profile' cProfiles its host hot paths; "
+        "exact counterfactuals; "
         "'repro drift' runs the adaptive keeper against adversarial tenant "
         "scenarios; 'repro fleet' runs a seeded multi-device scenario with "
         "fleet-level observability rollups; 'repro diff' compares two "

@@ -1,4 +1,4 @@
-"""Seeded simulation scenarios shared by ``explain``, ``profile`` and ``diff``.
+"""Seeded simulation scenarios shared by ``explain`` and ``diff``.
 
 Each scenario is a fixed, fully seeded input to one simulation run —
 tenant mixes on the event-driven simulator, a GC-heavy device, a

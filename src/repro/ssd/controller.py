@@ -23,7 +23,7 @@ from .config import SSDConfig
 from .faults import FaultInjector, FaultWorkItem
 from .ftl.gc import GarbageCollector
 from .ftl.mapping import FlashArrayState, PlaneState
-from .ftl.page_alloc import LoadFn, PageAllocMode, StaticPagePlacer, make_placer
+from .ftl.page_alloc import DieLoadFn, PageAllocMode, StaticPagePlacer, make_placer
 from .probe import hook
 
 __all__ = ["FTLController"]
@@ -33,7 +33,7 @@ __all__ = ["FTLController"]
 _MAX_PROGRAM_ATTEMPTS = 4
 
 
-def _idle_load(_plane_index: int) -> tuple:
+def _idle_load(_die_index: int) -> tuple:
     """Load probe used when no simulator is attached (everything idle)."""
     return (0,)
 
@@ -47,7 +47,7 @@ class FTLController:
         channel_sets: Mapping[int, Sequence[int]],
         page_modes: Mapping[int, PageAllocMode] | None = None,
         *,
-        load_fn: LoadFn | None = None,
+        die_load: DieLoadFn | None = None,
         tenant_lpn_space: int | None = None,
         faults: FaultInjector | None = None,
     ) -> None:
@@ -64,7 +64,8 @@ class FTLController:
         )
         self.gc = GarbageCollector(self.state, faults=faults)
         self._after_retire = None
-        self.load_fn = load_fn or _idle_load
+        #: dynamic-placement die probe (the simulator's die-and-bus load)
+        self.die_load = die_load or _idle_load
         self.channel_sets = {wid: sorted(set(chs)) for wid, chs in channel_sets.items()}
         for wid, chs in self.channel_sets.items():
             if not chs:
@@ -82,13 +83,7 @@ class FTLController:
         self.page_modes = {
             wid: modes.get(wid, PageAllocMode.STATIC) for wid in self.channel_sets
         }
-        viable = self._plane_viable if faults is not None else None
-        self._placers = {
-            wid: make_placer(
-                self.page_modes[wid], self.geometry, chs, self._probe_load, viable
-            )
-            for wid, chs in self.channel_sets.items()
-        }
+        self._placers = self._make_placers(self.channel_sets)
         # Static placers used for pre-seeding reads of never-written data,
         # regardless of the tenant's write mode: pre-existing data is assumed
         # striped across the tenant's channels.
@@ -106,9 +101,19 @@ class FTLController:
         self._after_retire = hook(probe, "after_retire")
 
     # ------------------------------------------------------------------
-    def _probe_load(self, plane_index: int) -> tuple:
-        """Dynamic-placement load key: simulator load, then plane fullness."""
-        return (*self.load_fn(plane_index), -self.state.planes[plane_index].free_pages)
+    def _make_placers(self, channel_sets: Mapping[int, Sequence[int]]) -> dict:
+        viable = self._plane_viable if self.faults is not None else None
+        return {
+            wid: make_placer(
+                self.page_modes[wid], self.geometry, chs, self.die_load,
+                self._free_pages, viable,
+            )
+            for wid, chs in channel_sets.items()
+        }
+
+    def _free_pages(self, plane_index: int) -> int:
+        """Dynamic-placement fullness probe (more free pages = preferred)."""
+        return self.state.planes[plane_index].free_pages
 
     def _plane_viable(self, plane_index: int) -> bool:
         """Placement health filter: planes retired down to nothing are out."""
@@ -290,13 +295,7 @@ class FTLController:
             self.page_modes = {
                 wid: modes.get(wid, self.page_modes[wid]) for wid in new_sets
             }
-        viable = self._plane_viable if self.faults is not None else None
-        self._placers = {
-            wid: make_placer(
-                self.page_modes[wid], self.geometry, chs, self._probe_load, viable
-            )
-            for wid, chs in new_sets.items()
-        }
+        self._placers = self._make_placers(new_sets)
         self._seed_placers = {
             wid: StaticPagePlacer(self.geometry, chs) for wid, chs in new_sets.items()
         }

@@ -135,17 +135,27 @@ class EventLoop:
 
         An unbounded run stops as soon as only weak events remain (see
         :meth:`schedule_weak`): the trailing weak events are discarded
-        without dispatch, leaving ``now`` at the last strong event.
+        without dispatch, leaving ``now`` at the last strong event.  The
+        dispatch is :meth:`step`, inlined.
         """
-        while self._heap:
-            if until is None and self._weak_pending == len(self._heap):
-                self._heap.clear()
-                self._weak_pending = 0
+        heap = self._heap
+        pop = heapq.heappop
+        while heap:
+            if until is None:
+                if self._weak_pending == len(heap):
+                    heap.clear()
+                    self._weak_pending = 0
+                    break
+            elif heap[0][0] > until:  # repro-lint: disable=R001 (heap entries are (when, seq, fn); when is microseconds by the DES contract)
                 break
-            when = self._heap[0][0]  # repro-lint: disable=R001 (heap entries are (when, seq, fn); when is microseconds by the DES contract)
-            if until is not None and when > until:
-                break
-            self.step()
+            when, _, callback, weak = pop(heap)
+            if weak:
+                self._weak_pending -= 1
+            if self._on_event is not None:
+                self._on_event(when, self.now)
+            self.now = when
+            self.events_processed += 1
+            callback()
 
     def __bool__(self) -> bool:
         return bool(self._heap)
@@ -261,37 +271,50 @@ class Resource:
         """
         if duration_us < 0:
             raise ValueError("duration must be non-negative")
-        if not self.busy:
-            self._grant(self.loop.now, duration_us, on_grant, enqueued_us=self.loop.now)
-        else:
+        loop = self.loop
+        if self.busy:
             heapq.heappush(
                 self._waiters,
-                (priority, next(self._seq), self.loop.now, duration_us, on_grant),
+                (priority, next(self._seq), loop.now, duration_us, on_grant),
             )
+            return
+        # Idle: grant at once (zero wait).  The release is pushed after
+        # ``on_grant`` runs, so events it schedules for the same instant
+        # dispatch first; ``start + duration >= now`` needs no clamp.
+        start_us = loop.now
+        if self._on_grant is not None:
+            self._on_grant(self, start_us, duration_us, 0.0)
+        self.busy = True
+        self.free_at = free_at = start_us + duration_us
+        self.busy_time_us += duration_us
+        self.grants += 1
+        on_grant(start_us)
+        heapq.heappush(loop._heap, (free_at, next(loop._seq), self._release, False))
 
     @property
     def queue_depth(self) -> int:
         """Number of jobs currently waiting (excludes the holder)."""
         return len(self._waiters)
 
-    def _grant(self, start_us: float, duration_us: float, on_grant: Callable[[float], None], enqueued_us: float) -> None:
-        if self._on_grant is not None:
-            self._on_grant(self, start_us, duration_us, start_us - enqueued_us)
-        self.busy = True
-        self.free_at = start_us + duration_us
-        self.busy_time_us += duration_us
-        self.grants += 1
-        self.wait_time_us += start_us - enqueued_us
-        on_grant(start_us)
-        self.loop.schedule(self.free_at, self._release)
-
     def _release(self) -> None:
         self.busy = False
+        loop = self.loop
+        start_us = loop.now
         if self._on_release is not None:
-            self._on_release(self, self.loop.now)
-        if self._waiters:
-            _, _, enqueued_us, duration_us, on_grant = heapq.heappop(self._waiters)
-            self._grant(self.loop.now, duration_us, on_grant, enqueued_us=enqueued_us)
+            self._on_release(self, start_us)
+        if not self._waiters:
+            return
+        _, _, enqueued_us, duration_us, on_grant = heapq.heappop(self._waiters)
+        wait_us = start_us - enqueued_us
+        if self._on_grant is not None:
+            self._on_grant(self, start_us, duration_us, wait_us)
+        self.busy = True
+        self.free_at = free_at = start_us + duration_us
+        self.busy_time_us += duration_us
+        self.grants += 1
+        self.wait_time_us += wait_us
+        on_grant(start_us)
+        heapq.heappush(loop._heap, (free_at, next(loop._seq), self._release, False))
 
     def utilization(self, elapsed_us: float) -> float:
         """Fraction of ``elapsed_us`` this resource spent busy."""

@@ -77,22 +77,24 @@ class GarbageCollector:
         eligible.  Bad blocks are never sealed, so they are never candidates.
 
         Ties on valid count break toward the least-erased block, then the
-        lowest index — a fully deterministic order (bare set iteration
-        would let the victim, and thus the whole downstream timeline, vary
-        with the process hash seed) that also keeps reclaim pressure from
-        hammering one block.
+        lowest index — a total order, so the minimum does not depend on
+        set iteration order (which would let the victim, and thus the whole
+        downstream timeline, vary with the process hash seed); it also
+        keeps reclaim pressure from hammering one block.  One O(B) pass,
+        no sort.
         """
-        best_block: int | None = None
-        best_key: tuple[int, int, int] | None = None
-        for block in sorted(plane.sealed_blocks()):
-            valid = plane.valid_count[block]
-            if valid >= plane.pages_per_block:
-                continue  # full block == not worth it
-            key = (valid, plane.erase_count[block], block)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_block = block
-        return best_block
+        valid = plane.valid_count
+        erases = plane.erase_count
+        full = plane.pages_per_block
+        best = min(
+            (
+                (valid[block], erases[block], block)
+                for block in plane.sealed_blocks()
+                if valid[block] < full  # a full block reclaims nothing
+            ),
+            default=None,
+        )
+        return None if best is None else best[2]
 
     def maybe_collect(self, plane: PlaneState) -> list[GCWorkItem]:
         """Run GC on ``plane`` if below threshold; return timing work items."""

@@ -82,8 +82,8 @@ class PlaneState:
     @property
     def free_pages(self) -> int:
         """Programmable pages remaining in this plane."""
-        active_left = self.pages_per_block - self.next_page
-        return self.free_blocks * self.pages_per_block + active_left
+        ppb = self.pages_per_block
+        return len(self._free_blocks) * ppb + ppb - self.next_page
 
     @property
     def total_pages(self) -> int:
@@ -95,7 +95,9 @@ class PlaneState:
         return self.total_pages - self.retired_pages
 
     def has_free_page(self) -> bool:
-        return self.free_pages > 0
+        # ``next_page`` never exceeds ``pages_per_block``, so any erased
+        # block left means a free page
+        return self.next_page < self.pages_per_block or bool(self._free_blocks)
 
     # ------------------------------------------------------------------
     def allocate_page(self) -> int:
@@ -321,7 +323,7 @@ class FlashArrayState:
         return ppn
 
     def needs_gc(self, plane: PlaneState) -> bool:
-        return plane.free_blocks < self.gc_threshold_blocks
+        return len(plane._free_blocks) < self.gc_threshold_blocks
 
     def mapped_pages(self) -> int:
         return len(self.mapping)

@@ -29,8 +29,12 @@ from ..geometry import Geometry
 
 __all__ = ["PageAllocMode", "StaticPagePlacer", "DynamicPagePlacer", "make_placer"]
 
-#: Load probe: plane_index -> sortable load key (lower = less busy).
-LoadFn = Callable[[int], tuple]
+#: Die probe: flat die index -> sortable die-and-bus load key (lower = less
+#: busy).  Every key a probe returns must have the same length.
+DieLoadFn = Callable[[int], tuple]
+
+#: Fullness probe: plane_index -> programmable pages left in that plane.
+FreePagesFn = Callable[[int], int]
 
 #: Viability probe: plane_index -> False when the plane must not receive
 #: writes (e.g. all usable capacity lost to retired blocks).
@@ -86,16 +90,25 @@ class StaticPagePlacer:
 class DynamicPagePlacer:
     """Least-busy placement over an allowed channel set.
 
-    ``load_fn`` maps a flat plane index to a sortable load key; the placer
-    picks the minimum and breaks ties round-robin so that an idle device
+    A plane's load key is ``(*die_load(die), -free_pages(plane))``: the
+    die-and-bus load of the die it sits on, then fullness.  The placer
+    picks the minimum key and breaks ties round-robin (earliest offset in
+    a scan order rotated past the previous pick) so that an idle device
     still spreads writes across every plane.
+
+    The die part is shared by every plane of one die, so it is probed once
+    per die: the minimum key is the largest ``free_pages`` among the planes
+    of the tied-minimum dies — exactly the first minimum a strict-``<``
+    scan of every plane's full key would return, with a quarter of the
+    probes on a 4-plane die.
     """
 
     def __init__(
         self,
         geometry: Geometry,
         allowed_channels: Sequence[int],
-        load_fn: LoadFn,
+        die_load: DieLoadFn,
+        free_pages: FreePagesFn,
         viable_fn: ViableFn | None = None,
     ) -> None:
         if not allowed_channels:
@@ -111,7 +124,14 @@ class DynamicPagePlacer:
             for k in range(len(per_channel[0]))
             for planes in per_channel
         ]
-        self.load_fn = load_fn
+        # (die index, [(candidate offset, plane index), ...]) per die
+        planes_per_die = geometry.config.planes_per_die
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for i, plane in enumerate(self.candidates):
+            groups.setdefault(plane // planes_per_die, []).append((i, plane))
+        self._dies = list(groups.items())
+        self.die_load = die_load
+        self.free_pages = free_pages
         #: optional health filter; non-viable planes (capacity retired away
         #: under fault injection) are skipped unless every candidate is out
         self.viable_fn = viable_fn
@@ -119,43 +139,62 @@ class DynamicPagePlacer:
 
     def place(self, lpn: int) -> int:
         """Flat plane index of the least-busy viable candidate plane."""
-        n = len(self.candidates)
-        viable = self.viable_fn
-        best_index = -1
-        best_key: tuple | None = None
-        # Rotate the scan start so equal-load candidates alternate.
-        start = self._rr
-        for offset in range(n):
-            i = (start + offset) % n
-            if viable is not None and not viable(self.candidates[i]):
-                continue
-            key = self.load_fn(self.candidates[i])
-            if best_key is None or key < best_key:
-                best_key = key
-                best_index = i
-        if best_index < 0:
+        best = self._least_busy(self.viable_fn)
+        if best < 0:
             # Every plane filtered out: fall back to raw least-busy so the
             # controller's own fallback/GC machinery gets to decide.
-            for offset in range(n):
-                i = (start + offset) % n
-                key = self.load_fn(self.candidates[i])
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_index = i
-        self._rr = (best_index + 1) % n
-        return self.candidates[best_index]
+            best = self._least_busy(None)
+        self._rr = (best + 1) % len(self.candidates)
+        return self.candidates[best]
+
+    def _least_busy(self, viable: ViableFn | None) -> int:
+        """Candidate offset of the minimum load key (-1: nothing viable)."""
+        die_load = self.die_load
+        best_key: tuple | None = None
+        tied: list[list[tuple[int, int]]] = []
+        for die, members in self._dies:
+            if viable is not None:
+                members = [m for m in members if viable(m[1])]
+                if not members:
+                    continue
+            key = die_load(die)
+            if best_key is None or key < best_key:
+                best_key = key
+                tied = [members]
+            elif key == best_key:
+                tied.append(members)
+        n = len(self.candidates)
+        start = self._rr
+        free_pages = self.free_pages
+        best = -1
+        best_free = 0
+        best_offset = n
+        for members in tied:
+            for i, plane in members:
+                free = free_pages(plane)
+                offset = (i - start) % n
+                if best < 0 or free > best_free or (
+                    free == best_free and offset < best_offset
+                ):
+                    best = i
+                    best_free = free
+                    best_offset = offset
+        return best
 
 
 def make_placer(
     mode: PageAllocMode,
     geometry: Geometry,
     allowed_channels: Sequence[int],
-    load_fn: LoadFn,
+    die_load: DieLoadFn,
+    free_pages: FreePagesFn,
     viable_fn: ViableFn | None = None,
 ) -> StaticPagePlacer | DynamicPagePlacer:
     """Build the placer for one tenant."""
     if mode is PageAllocMode.STATIC:
         return StaticPagePlacer(geometry, allowed_channels)
     if mode is PageAllocMode.DYNAMIC:
-        return DynamicPagePlacer(geometry, allowed_channels, load_fn, viable_fn)
+        return DynamicPagePlacer(
+            geometry, allowed_channels, die_load, free_pages, viable_fn
+        )
     raise ValueError(f"unknown mode {mode!r}")

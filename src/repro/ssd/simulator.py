@@ -18,6 +18,7 @@ The request completes when its slowest sub-request completes.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 from .buffer import BufferConfig, WriteBuffer
@@ -106,6 +107,11 @@ class SSDSimulator:
             for d in range(config.dies)
         ]
         self._planes_per_die = config.planes_per_die
+        #: pages per die and per channel: ``ppn // stride`` is the flat die
+        #: (channel) index, the PPN layout being channel|chip|die|plane|...
+        self._die_stride = config.pages_per_plane * config.planes_per_die
+        self._dies_per_channel = config.dies // config.channels
+        self._channel_stride = config.pages_per_channel
         #: optional fault injector (seeded NAND error model); ``None`` costs
         #: one ``is not None`` branch per operation
         if faults is None or isinstance(faults, FaultInjector):
@@ -116,7 +122,7 @@ class SSDSimulator:
             config,
             channel_sets,
             page_modes,
-            load_fn=self._die_load,
+            die_load=self._die_load,
             faults=self.faults,
         )
         #: optional DRAM write-back buffer in front of the FTL
@@ -149,18 +155,15 @@ class SSDSimulator:
         self._on_complete = hook(probe, "on_complete")
 
     # ------------------------------------------------------------------
-    def _die_load(self, plane_index: int) -> tuple:
+    def _die_load(self, die_index: int) -> tuple:
         """Dynamic-placement load key: combined die+bus queue, then free time.
 
         A write occupies the channel bus before the die, so an idle die
         behind a congested bus is not actually a good target — both
         resources count.
         """
-        die = self.dies[plane_index // self._planes_per_die]
-        chan = self.channels[
-            plane_index // (self._planes_per_die * self.config.dies_per_chip
-                            * self.config.chips_per_channel)
-        ]
+        die = self.dies[die_index]
+        chan = self.channels[die_index // self._dies_per_channel]
         pending = (
             die.queue_depth
             + (1 if die.busy else 0)
@@ -185,12 +188,6 @@ class SSDSimulator:
             "gc_busy_us": sum(d.gc_busy_time_us for d in self.dies),
         }
 
-    def _die_of_ppn(self, ppn: int) -> Resource:
-        return self.dies[self.controller.geometry.plane_index(ppn) // self._planes_per_die]
-
-    def _channel_of_ppn(self, ppn: int) -> Resource:
-        return self.channels[self.controller.geometry.channel_of(ppn)]
-
     # ------------------------------------------------------------------
     def submit(self, req: IORequest) -> None:
         """Submit one request at the loop's *current* time.
@@ -200,7 +197,17 @@ class SSDSimulator:
         through a device-loop event); trace-driven solo runs should use
         :meth:`run`, which schedules arrivals itself.
         """
-        self._make_submit(req)()
+        if self._on_submit is not None:
+            self._on_submit(req, self.loop.now)
+        key = self._next_req_key
+        self._next_req_key += 1
+        self._inflight[key] = _InFlight(req)
+        issue = self._issue_read if req.op is OpType.READ else self._issue_write
+        wid = req.workload_id
+        for lpn in req.lpns():
+            if self.buffer is not None and self._via_buffer(key, req, lpn):
+                continue
+            issue(key, wid, lpn)
 
     def arm_observers(self) -> None:
         """Fire the observer's arm hook (samplers attach to the loop).
@@ -223,7 +230,7 @@ class SSDSimulator:
         ordered = sorted(requests, key=lambda r: r.arrival_us)
         for req in ordered:
             # trace arrival timestamps are absolute simulated times
-            self.loop.schedule(req.arrival_us, self._make_submit(req))  # repro-lint: disable=R004 (trace arrivals are absolute times)
+            self.loop.schedule(req.arrival_us, partial(self.submit, req))  # repro-lint: disable=R004 (trace arrivals are absolute times)
         if ordered:
             self.arm_observers()
         return len(ordered)
@@ -285,25 +292,6 @@ class SSDSimulator:
         return result
 
     # ------------------------------------------------------------------
-    def _make_submit(self, req: IORequest):
-        def submit() -> None:
-            if self._on_submit is not None:
-                self._on_submit(req, self.loop.now)
-            key = self._next_req_key
-            self._next_req_key += 1
-            flight = _InFlight(req)
-            self._inflight[key] = flight
-            for lpn in req.lpns():
-                if self.buffer is not None and self._via_buffer(key, req, lpn):
-                    continue
-                if req.op is OpType.READ:
-                    self._issue_read(key, req.workload_id, lpn)
-                else:
-                    self._issue_write(key, req.workload_id, lpn)
-
-        return submit
-
-    # ------------------------------------------------------------------
     def _via_buffer(self, key: int, req: IORequest, lpn: int) -> bool:
         """Route one page through the DRAM buffer.
 
@@ -328,38 +316,52 @@ class SSDSimulator:
             span = self._span(-1, -1) if self._span is not None else None
             if span is not None:
                 span.buffer_us = dram_us
-            self.loop.schedule(done, lambda: self._complete_page(key, span=span))
+            self.loop.schedule(done, partial(self._complete_page, key, span))
             return True
         return False
 
     def _issue_background_write(self, wid: int, lpn: int) -> None:
         """Program an evicted dirty page; no host request completion."""
         ppn, gc_items = self.controller.place_write(wid, lpn)
-        die = self._die_of_ppn(ppn)
-        bus = self._channel_of_ppn(ppn)
-        t = self.times
         if gc_items:
             self._charge_gc(wid, gc_items)
+        t = self.times
+        self.channels[ppn // self._channel_stride].acquire(
+            (PRIO_WRITE, self.loop.now),
+            t.write_bus_us,
+            partial(
+                self._chain, self.dies[ppn // self._die_stride], PRIO_WRITE,
+                t.write_bus_us, t.write_die_us, _ignore_grant,
+            ),
+        )
 
-        def bus_granted(start: float) -> None:
-            done = start + t.write_bus_us
+    # Untraced pages run on these two grant callbacks, bound with
+    # ``partial``: no per-page closures or cells while a page waits.
+    def _chain(
+        self, resource: Resource, prio_class: int, phase_us: float,
+        next_us: float, on_grant, start: float,
+    ) -> None:
+        """A page's first phase began: queue its second one when it ends.
 
-            def to_die() -> None:
-                die.acquire(
-                    (PRIO_WRITE, self.loop.now), t.write_die_us, lambda _s: None
-                )
+        The second resource is requested by a direct ``acquire`` event at
+        the first phase's end (``loop.now`` there is exactly ``at``).
+        """
+        at = start + phase_us
+        self.loop.schedule(at, partial(resource.acquire, (prio_class, at), next_us, on_grant))
 
-            self.loop.schedule(done, to_die)
-
-        bus.acquire((PRIO_WRITE, self.loop.now), t.write_bus_us, bus_granted)
+    def _last_phase(self, key: int, phase_us: float, start: float) -> None:
+        """A page's last phase began: it completes ``phase_us`` later."""
+        self.loop.schedule(start + phase_us, partial(self._complete_page, key))
 
     def _issue_read(self, key: int, wid: int, lpn: int) -> None:
         ppn = self.controller.resolve_read(wid, lpn)
-        die = self._die_of_ppn(ppn)
-        bus = self._channel_of_ppn(ppn)
+        die = self.dies[ppn // self._die_stride]
+        bus = self.channels[ppn // self._channel_stride]
+        loop = self.loop
         t = self.times
         prio = self._read_prio
         die_us = t.read_die_us
+        bus_us = t.read_bus_us
         span = self._page_span(ppn) if self._span is not None else None
         unrecoverable = False
         outcome = None
@@ -376,7 +378,20 @@ class SSDSimulator:
                 die_us = t.read_die_with_retries_us(outcome.retries)
             unrecoverable = outcome.unrecoverable
         if self._on_dispatch is not None:
-            self._on_dispatch(self.loop.now, wid, lpn, ppn, "read", die, bus, outcome)
+            self._on_dispatch(loop.now, wid, lpn, ppn, "read", die, bus, outcome)
+        if span is None and not unrecoverable:
+            last = partial(self._last_phase, key, bus_us)
+            die.acquire(
+                (prio, loop.now), die_us,
+                partial(self._chain, bus, prio, die_us, bus_us, last),
+            )
+            return
+
+        def bus_granted(start: float) -> None:
+            if span is not None:
+                span.bus_granted(start)
+                span.bus_us = bus_us
+            loop.schedule(start + bus_us, partial(self._complete_page, key, span))
 
         def die_granted(start: float) -> None:
             done = start + die_us
@@ -387,70 +402,60 @@ class SSDSimulator:
             if unrecoverable:
                 # ECC exhausted: the die time was spent but no data moves
                 # over the bus — the request surfaces as a failed read.
-                self.loop.schedule(done, lambda: self._complete_page(key, failed=True))
+                loop.schedule(done, partial(self._complete_page, key, None, True))
                 return
 
             def to_bus() -> None:
-                if span is not None:
-                    span.bus_enqueued(self.loop.now)
-                bus.acquire((prio, self.loop.now), t.read_bus_us, bus_granted)
+                span.bus_enqueued(loop.now)
+                bus.acquire((prio, loop.now), bus_us, bus_granted)
 
-            self.loop.schedule(done, to_bus)
-
-        def bus_granted(start: float) -> None:
-            if span is not None:
-                span.bus_granted(start)
-                span.bus_us = t.read_bus_us
-            self.loop.schedule(
-                start + t.read_bus_us, lambda: self._complete_page(key, span=span)
-            )
+            loop.schedule(done, to_bus)
 
         if span is not None:
-            span.die_enqueued(self.loop.now, die)
-        die.acquire((prio, self.loop.now), die_us, die_granted)
+            span.die_enqueued(loop.now, die)
+        die.acquire((prio, loop.now), die_us, die_granted)
 
     def _issue_write(self, key: int, wid: int, lpn: int) -> None:
         ppn, gc_items = self.controller.place_write(wid, lpn)
-        die = self._die_of_ppn(ppn)
-        bus = self._channel_of_ppn(ppn)
-        t = self.times
+        die = self.dies[ppn // self._die_stride]
+        bus = self.channels[ppn // self._channel_stride]
+        loop = self.loop
         if self._on_dispatch is not None:
-            self._on_dispatch(self.loop.now, wid, lpn, ppn, "write", die, bus)
+            self._on_dispatch(loop.now, wid, lpn, ppn, "write", die, bus)
         if gc_items:
             self._charge_gc(wid, gc_items)
         span = self._page_span(ppn) if self._span is not None else None
+        bus_us = self.times.write_bus_us
+        die_us = self.times.write_die_us
+        if span is None:
+            last = partial(self._last_phase, key, die_us)
+            bus.acquire(
+                (PRIO_WRITE, loop.now), bus_us,
+                partial(self._chain, die, PRIO_WRITE, bus_us, die_us, last),
+            )
+            return
 
         def bus_granted(start: float) -> None:
-            done = start + t.write_bus_us
-            if span is not None:
-                span.bus_granted(start)
-                span.bus_us = t.write_bus_us
+            span.bus_granted(start)
+            span.bus_us = bus_us
 
             def to_die() -> None:
-                if span is not None:
-                    span.die_enqueued(self.loop.now, die)
-                die.acquire((PRIO_WRITE, self.loop.now), t.write_die_us, die_granted)
+                span.die_enqueued(loop.now, die)
+                die.acquire((PRIO_WRITE, loop.now), die_us, die_granted)
 
-            self.loop.schedule(done, to_die)
+            loop.schedule(start + bus_us, to_die)
 
         def die_granted(start: float) -> None:
-            if span is not None:
-                span.die_granted(start, die)
-                span.die_us = t.write_die_us
-            self.loop.schedule(
-                start + t.write_die_us, lambda: self._complete_page(key, span=span)
-            )
+            span.die_granted(start, die)
+            span.die_us = die_us
+            loop.schedule(start + die_us, partial(self._complete_page, key, span))
 
-        if span is not None:
-            span.bus_enqueued(self.loop.now)
-        bus.acquire((PRIO_WRITE, self.loop.now), t.write_bus_us, bus_granted)
+        span.bus_enqueued(loop.now)
+        bus.acquire((PRIO_WRITE, loop.now), bus_us, bus_granted)
 
     def _page_span(self, ppn: int):
         """Attribution timeline for one page at ``ppn`` (span hook armed)."""
-        geom = self.controller.geometry
-        return self._span(
-            geom.channel_of(ppn), geom.plane_index(ppn) // self._planes_per_die
-        )
+        return self._span(ppn // self._channel_stride, ppn // self._die_stride)
 
     def _charge_gc(self, wid: int, items: list) -> None:
         """Charge die time for FTL background work done on behalf of a write.
@@ -477,7 +482,7 @@ class SSDSimulator:
 
             die.acquire((PRIO_GC, self.loop.now), duration_us, book)
 
-    def _complete_page(self, key: int, failed: bool = False, span=None) -> None:
+    def _complete_page(self, key: int, span=None, failed: bool = False) -> None:
         flight = self._inflight[key]
         flight.remaining -= 1
         self.subrequests_done += 1
@@ -504,6 +509,10 @@ class SSDSimulator:
             self.requests_done += 1
             if self._on_complete is not None:
                 self._on_complete(req, self.loop.now, flight.failed, flight.span)
+
+
+def _ignore_grant(_start_us: float) -> None:
+    """Grant callback of a background write (no request to complete)."""
 
 
 def simulate(

@@ -24,6 +24,7 @@ tenants serialise on the shared channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .config import SSDConfig
 
@@ -32,7 +33,12 @@ __all__ = ["ServiceTimes"]
 
 @dataclass(frozen=True)
 class ServiceTimes:
-    """Phase durations (microseconds) for one configuration."""
+    """Phase durations (microseconds) for one configuration.
+
+    The derived phase durations are cached properties: computed on first
+    read, then plain floats in the instance, because the engine reads them
+    for every page it serves.
+    """
 
     read_flash_us: float
     write_flash_us: float
@@ -52,7 +58,7 @@ class ServiceTimes:
         )
 
     # Phase durations -----------------------------------------------------
-    @property
+    @cached_property
     def read_die_us(self) -> float:
         """Die occupancy of a read: command + array sense."""
         return self.command_us + self.read_flash_us
@@ -69,33 +75,33 @@ class ServiceTimes:
             raise ValueError("retries must be non-negative")
         return (1 + retries) * self.read_die_us
 
-    @property
+    @cached_property
     def read_bus_us(self) -> float:
         """Channel occupancy of a read: page transfer out."""
         return self.transfer_us
 
-    @property
+    @cached_property
     def write_bus_us(self) -> float:
         """Channel occupancy of a write: command + page transfer in."""
         return self.command_us + self.transfer_us
 
-    @property
+    @cached_property
     def write_die_us(self) -> float:
         """Die occupancy of a write: program time."""
         return self.write_flash_us
 
-    @property
+    @cached_property
     def move_die_us(self) -> float:
         """Die occupancy of a GC copyback (read + program, no bus)."""
         return self.read_flash_us + self.write_flash_us
 
     # Unloaded service times ----------------------------------------------
-    @property
+    @cached_property
     def read_service_us(self) -> float:
         """End-to-end read service time on an idle device."""
         return self.read_die_us + self.read_bus_us
 
-    @property
+    @cached_property
     def write_service_us(self) -> float:
         """End-to-end write service time on an idle device."""
         return self.write_bus_us + self.write_die_us

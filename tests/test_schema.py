@@ -58,13 +58,6 @@ def _whatif(request):
     return request.getfixturevalue("explained")["_whatif_report"].to_dict()
 
 
-def _hotpath(request):
-    from repro.harness.hostprofile import profile_scenario
-
-    report, _ = profile_scenario("fastmodel", quick=True, top=3)
-    return report
-
-
 def _telemetry(request):
     from repro.obs import Observability
     from repro.ssd.simulator import simulate
@@ -132,7 +125,6 @@ DOCUMENTS = {
     "repro.analysis.baseline.BASELINE_SCHEMA": _baseline,
     "repro.analysis.engine.REPORT_SCHEMA": _lint_report,
     "repro.harness.explain.EXPLAIN_SCHEMA": _explain,
-    "repro.harness.hostprofile.HOTPATH_SCHEMA": _hotpath,
     "repro.obs.critpath.CRITPATH_SCHEMA": _critpath,
     "repro.obs.diff.DIFF_SCHEMA": _diff,
     "repro.obs.fleet.FLEET_SCHEMA": _fleet,
