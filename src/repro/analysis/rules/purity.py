@@ -2,15 +2,15 @@
 
 The device stack has two *opt-in* collaborators, both defaulting to
 ``None``: the probe (one observer handle per component, see
-:mod:`repro.ssd.probe`) and the fault injector.  The keeper in
-``repro.core`` also logs decisions through its own ``obs`` bundle.  The
-disabled cost is one ``is not None`` branch per site, and that contract
-dies the first time somebody writes ``self.probe.hook(...)`` or
-``self.obs.registry`` unguarded — the simulator then crashes with
-``AttributeError`` the moment observation is off, and "pay only when
-enabled" silently became "always required".
+:mod:`repro.ssd.probe`; the keeper in ``repro.core`` reports through the
+same probe) and the fault injector.  The disabled cost is one
+``is not None`` branch per site, and that contract dies the first time
+somebody writes ``self.probe.hook(...)`` or ``self.faults.draw(...)``
+unguarded — the simulator then crashes with ``AttributeError`` the
+moment observation is off, and "pay only when enabled" silently became
+"always required".
 
-R003 flags every ``probe.*`` / ``faults.*`` / ``obs.*`` attribute access
+R003 flags every ``probe.*`` / ``faults.*`` attribute access
 (on a bare name or a ``self.``-attribute) inside ``repro.ssd`` /
 ``repro.core`` that is not dominated by a ``None``-guard.  Recognised
 guards, checked on enclosing context:
@@ -33,14 +33,11 @@ from . import Rule
 __all__ = ["OptInPurityRule"]
 
 #: attribute roots that must be None-guarded
-_GUARDED_ROOTS = frozenset({
-    "probe", "faults", "obs",
-    "_probe", "_faults", "_obs",
-})
+_GUARDED_ROOTS = frozenset({"probe", "faults", "_probe", "_faults"})
 
 
 def _root_key(node: ast.expr) -> str | None:
-    """Identify ``obs`` / ``self.obs`` style receivers by their root name."""
+    """Identify ``probe`` / ``self.probe`` style receivers by their root name."""
     if isinstance(node, ast.Name) and node.id in _GUARDED_ROOTS:
         return node.id
     if (
@@ -88,11 +85,11 @@ def _terminates(body: list[ast.stmt]) -> bool:
 
 
 class OptInPurityRule(Rule):
-    """R003: every probe/faults/obs access must be None-guarded."""
+    """R003: every probe/faults access must be None-guarded."""
 
     code = "R003"
     summary = (
-        "probe.*/faults.*/obs.* access in repro.ssd/repro.core must be "
+        "probe.*/faults.* access in repro.ssd/repro.core must be "
         "dominated by a None-guard (opt-in hot-path contract)"
     )
     applies_to = ("repro.ssd", "repro.core")

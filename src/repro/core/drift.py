@@ -24,8 +24,10 @@ Both alarms **re-anchor** the detector (the post-drift distribution
 becomes the new baseline) and share a cooldown so one drift episode is
 reported once, not once per window.  The detector is pure computation —
 no RNG, no clocks, no observability access — so two runs over the same
-stream produce byte-identical event lists; the keeper owns the
-``drift.*`` counters and ``drift_detected`` trace events.
+stream produce byte-identical event lists; the keeper hands each
+window's events to its probe's ``on_drift`` hook, which
+:class:`repro.obs.Observability` turns into ``drift.*`` counters and
+``drift_detected`` trace events.
 """
 
 from __future__ import annotations

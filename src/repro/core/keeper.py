@@ -14,6 +14,13 @@ One :class:`SSDKeeper` run plays the paper's Algorithm 2 against a trace:
 The switch happens *inside* the event-driven simulation via a scheduled
 reallocation event, so phase-1 conflicts, in-flight requests across the
 boundary, and residual old-channel traffic are all modelled.
+
+The keeper reports through the same :class:`~repro.ssd.probe.Probe` as the
+devices it drives.  Every decision is a :class:`KeeperDecision` the keeper
+builds and settles itself; the probe's keeper hooks (``on_decision``,
+``on_drift``, ``on_retrain``) are armed once, at construction, and receive
+each decision, drift check and retrain as it happens.  An unarmed keeper
+takes exactly the decisions an armed one does.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from ..ssd.config import SSDConfig
 from ..ssd.fastmodel import fast_simulate
 from ..ssd.faults import FaultConfig
 from ..ssd.metrics import SimulationResult
-from ..ssd.probe import Probe, probes
+from ..ssd.probe import Probe, hook, probes
 from ..ssd.request import IORequest, OpType
 from ..ssd.simulator import SSDSimulator
 from .allocator import ChannelAllocator, verified_allocate
@@ -41,14 +48,14 @@ __all__ = ["KeeperDecision", "KeeperRun", "PeriodicRun", "SSDKeeper"]
 
 @dataclass
 class KeeperDecision:
-    """Structured log record of one keeper decision (observability).
+    """Record of one keeper decision, handed to the ``on_decision`` hook.
 
     ``predicted_mean_us`` is the fast-model estimate of the chosen
-    strategy's mean request latency on the observed window (filled when
-    the keeper has the window's requests, i.e. one-shot runs with
-    observability attached); ``realised_mean_us`` is the measured mean —
-    per adaptation window in periodic runs, over the whole run for the
-    one-shot workflow.
+    strategy's mean request latency on the observed window (filled in
+    adaptive runs, where it feeds the drift residual, and in one-shot runs
+    whose probe arms ``on_decision``); ``realised_mean_us`` is the
+    measured mean — per adaptation window in periodic runs, over the whole
+    run for the one-shot workflow.
     """
 
     time_us: float
@@ -111,18 +118,18 @@ class PeriodicRun:
 
     ``decisions`` holds one ``(time_us, features, strategy)`` triple per
     window in which the keeper re-decided; windows with no traffic are
-    skipped (the previous allocation stays).  ``realised_us`` is aligned
-    with ``decisions``: entry *i* is the measured mean latency of the
-    window that followed decision *i* (``None`` when nothing completed
-    in it) — populated whether or not observability is attached.  The
-    ``drift_events`` / ``retrain_events`` / degradation fields are only
-    populated by adaptive runs (:meth:`SSDKeeper.run_adaptive`).
+    skipped (the previous allocation stays).  ``records`` holds the
+    matching :class:`KeeperDecision` records, and ``realised_us`` reads
+    their realised latencies: entry *i* is the measured mean latency of
+    the window that followed decision *i* (``None`` when nothing
+    completed in it).  The ``drift_events`` / ``retrain_events`` /
+    degradation fields are only populated by adaptive runs
+    (:meth:`SSDKeeper.run_adaptive`).
     """
 
     result: SimulationResult
     decisions: list[tuple[float, FeatureVector, Strategy]]
-    #: per-decision realised mean latency of the following window
-    realised_us: list[float | None] = field(default_factory=list)
+    records: list[KeeperDecision] = field(default_factory=list)
     drift_events: list[DriftEvent] = field(default_factory=list)
     retrain_events: list[RetrainEvent] = field(default_factory=list)
     #: healthy re-decisions the switch-rate limiter refused to deploy
@@ -133,6 +140,11 @@ class PeriodicRun:
     @property
     def switches(self) -> int:
         return len(self.decisions)
+
+    @property
+    def realised_us(self) -> list[float | None]:
+        """Per-decision realised mean latency of the following window."""
+        return [record.realised_mean_us for record in self.records]
 
     @property
     def retrains(self) -> int:
@@ -190,7 +202,6 @@ class SSDKeeper:
         verify_top_k: int = 0,
         obs=None,
         faults: FaultConfig | None = None,
-        sanitizer=None,
         fallback_error_rate: float = 0.5,
     ) -> None:
         if collect_window_us <= 0:
@@ -214,19 +225,20 @@ class SSDKeeper:
         #: are replayed on the observed window (fast model) and the
         #: measured best is deployed.  Extension beyond the paper.
         self.verify_top_k = verify_top_k
-        #: optional :class:`repro.obs.Observability`: decisions are logged
-        #: as :class:`KeeperDecision` records, a ``keeper_switch`` trace
-        #: event marks each mid-run switch, and the underlying simulator
-        #: observes into the same bundle (composed after the keeper's
-        #: features collector, see :func:`repro.ssd.probe.probes`).
+        #: the keeper's one observer, a :class:`repro.ssd.probe.Probe`
+        #: (e.g. :class:`repro.obs.Observability`, a
+        #: :class:`repro.analysis.Sanitizer`, or several composed with
+        #: :func:`repro.ssd.probe.probes`): every simulator this keeper
+        #: builds observes into it, and its keeper hooks receive each
+        #: decision, drift check and retrain
         self.obs = obs
+        self._on_decision = hook(obs, "on_decision")
+        self._on_drift = hook(obs, "on_drift")
+        self._on_retrain = hook(obs, "on_retrain")
         #: optional :class:`repro.ssd.faults.FaultConfig` applied to the
         #: underlying device (and to fast-model replays, as an expected-value
         #: derating)
         self.faults = faults
-        #: optional :class:`repro.analysis.Sanitizer` composed into the
-        #: probe of every simulator this keeper constructs
-        self.sanitizer = sanitizer
         #: graceful-degradation trigger: when the unhealthiest channel's
         #: observed error rate reaches this fraction, the keeper stops
         #: trusting the model and falls back (see :meth:`_decide`)
@@ -248,7 +260,7 @@ class SSDKeeper:
         an unhealthy forward pass (NaN/out-of-range prediction).  Either way
         the keeper deploys ``last_good`` — the last strategy a healthy
         decision produced — or the traditional Shared allocation when there
-        is none, and logs a ``keeper_fallback`` event.
+        is none.
 
         Returns ``(strategy, fallback_reason)``; ``fallback_reason`` is
         ``None`` on the normal path.
@@ -269,12 +281,6 @@ class SSDKeeper:
             strategy = (
                 last_good if last_good is not None else Strategy(StrategyKind.SHARED)
             )
-            if self.obs is not None:
-                self.obs.registry.counter("keeper.fallbacks").inc()
-                self.obs.trace.emit(
-                    sim.loop.now, "keeper_fallback", "keeper", "keeper",
-                    args={"strategy": strategy.label, "reason": reason},
-                )
             return strategy, reason
         if self.verify_top_k:
             strategy = verified_allocate(
@@ -290,13 +296,35 @@ class SSDKeeper:
             strategy = self.allocator.allocate(features)
         return strategy, None
 
+    def _deploy(
+        self, sim: SSDSimulator, strategy: Strategy, features: FeatureVector
+    ) -> None:
+        """Switch the live FTL to ``strategy`` with the hybrid page modes."""
+        sim.controller.reallocate(
+            strategy.channel_sets(self.config.channels, features.write_dominated()),
+            page_modes_for(self.page_policy, features),
+        )
+
+    def _replay_us(
+        self, strategy: Strategy, features: FeatureVector,
+        window: Sequence[IORequest],
+    ) -> float:
+        """Fast-model mean latency of ``window`` had ``strategy`` been deployed."""
+        replay = fast_simulate(
+            list(window),
+            self.config,
+            strategy.channel_sets(self.config.channels, features.write_dominated()),
+            page_modes_for(self.page_policy, features),
+            faults=self.faults,
+        )
+        return replay.mean_total_us
+
     # ------------------------------------------------------------------
     def _collecting_device(
         self, *, keep: bool, until_us: float = math.inf
     ) -> tuple[SSDSimulator, _WindowTap]:
         """The device Algorithm 2 starts on — Shared channels, static
-        placement — observed by a features-collecting tap, then ``obs``
-        and the sanitizer."""
+        placement — observed by a features-collecting tap, then ``obs``."""
         n_tenants = self.allocator.space.n_tenants
         tap = _WindowTap(
             FeaturesCollector(n_tenants, intensity_quantum=self.intensity_quantum),
@@ -305,7 +333,7 @@ class SSDKeeper:
         shared = {wid: list(range(self.config.channels)) for wid in range(n_tenants)}
         sim = SSDSimulator(
             self.config, shared, record_latencies=self.record_latencies,
-            obs=probes(tap, self.obs, self.sanitizer), faults=self.faults,
+            obs=probes(tap, self.obs), faults=self.faults,
         )
         return sim, tap
 
@@ -313,14 +341,11 @@ class SSDKeeper:
         """Play Algorithm 2 over ``requests``; returns latencies + decision."""
         window_end_us = self.collect_window_us
         sim, tap = self._collecting_device(
-            keep=bool(self.verify_top_k) or self.obs is not None,
+            keep=bool(self.verify_top_k) or self._on_decision is not None,
             until_us=window_end_us,
         )
         collector, window_requests = tap.collector, tap.requests
-
-        decision: dict = {
-            "features": None, "strategy": None, "at_us": None, "fallback": None,
-        }
+        decided: list[tuple[KeeperDecision, Strategy]] = []
 
         def switch() -> None:
             if collector.total_observed == 0:
@@ -329,82 +354,35 @@ class SSDKeeper:
             strategy, fallback_reason = self._decide(
                 sim, features, window_requests
             )
-            channel_sets = strategy.channel_sets(
-                self.config.channels, features.write_dominated()
+            self._deploy(sim, strategy, features)
+            record = KeeperDecision(
+                time_us=sim.loop.now,
+                features=features,
+                strategy=strategy.label,
+                window_requests=collector.total_observed,
+                fallback_reason=fallback_reason,
             )
-            page_modes = page_modes_for(self.page_policy, features)
-            sim.controller.reallocate(channel_sets, page_modes)
-            decision["features"] = features
-            decision["strategy"] = strategy
-            decision["at_us"] = sim.loop.now
-            decision["fallback"] = fallback_reason
-            if self.obs is not None:
-                self._log_decision(
-                    sim, features, strategy, channel_sets, page_modes,
-                    window_requests, fallback_reason=fallback_reason,
+            decided.append((record, strategy))
+            if self._on_decision is not None:
+                # the prediction only feeds the published record
+                record.predicted_mean_us = self._replay_us(
+                    strategy, features, window_requests
                 )
+                self._on_decision(sim.loop.now, record, True, False)
 
         sim.loop.schedule(window_end_us, switch)  # repro-lint: disable=R004 (window_end_us is an absolute pre-run boundary)
         result = sim.run(requests)
-        if self.obs is not None and self.obs.decisions:
-            # run-level realised latency for the one-shot decision
-            last = self.obs.decisions[-1]
-            if last.realised_mean_us is None:
-                last.realised_mean_us = result.mean_total_us
+        if not decided:
+            return KeeperRun(result, None, None, None)
+        record, strategy = decided[0]
+        record.realised_mean_us = result.mean_total_us
         return KeeperRun(
             result=result,
-            features=decision["features"],
-            strategy=decision["strategy"],
-            switched_at_us=decision["at_us"],
-            fallback_reason=decision["fallback"],
+            features=record.features,
+            strategy=strategy,
+            switched_at_us=record.time_us,
+            fallback_reason=record.fallback_reason,
         )
-
-    # ------------------------------------------------------------------
-    def _log_decision(
-        self,
-        sim: SSDSimulator,
-        features: FeatureVector,
-        strategy: Strategy,
-        channel_sets,
-        page_modes,
-        window_requests: Sequence[IORequest],
-        observed: int | None = None,
-        fallback_reason: str | None = None,
-    ) -> KeeperDecision:
-        """Record one decision: trace event + registry + decision log.
-
-        The ``keeper_switch`` trace timestamp is the simulated time the
-        reallocation took effect (== ``KeeperRun.switched_at_us``).
-        """
-        obs = self.obs
-        assert obs is not None  # every caller guards on self.obs
-        predicted_us = None
-        if window_requests:
-            replay = fast_simulate(
-                list(window_requests), self.config, channel_sets, page_modes,
-                faults=self.faults,
-            )
-            predicted_us = replay.mean_total_us
-        record = KeeperDecision(
-            time_us=sim.loop.now,
-            features=features,
-            strategy=strategy.label,
-            window_requests=observed if observed is not None else len(window_requests),
-            predicted_mean_us=predicted_us,
-            fallback_reason=fallback_reason,
-        )
-        obs.decisions.append(record)
-        obs.registry.counter("ftl.reallocations").inc()
-        obs.registry.counter("keeper.switches").inc()
-        obs.trace.emit(
-            sim.loop.now, "keeper_switch", "keeper", "keeper",
-            args={
-                "strategy": strategy.label,
-                "features": features.to_array().tolist(),
-                "predicted_mean_us": predicted_us,
-            },
-        )
-        return record
 
     # ------------------------------------------------------------------
     def run_periodic(
@@ -435,24 +413,23 @@ class SSDKeeper:
 
         * ``drift`` — a :class:`DriftConfig` (or pre-built
           :class:`DriftDetector`) watches the per-window feature stream
-          and the predicted-vs-realised residuals; detections surface as
-          ``drift.*`` counters, ``drift_detected`` trace events, and
-          :attr:`PeriodicRun.drift_events`.  Persistent drift with
-          unhealthy residuals degrades the keeper to Shared (the PR 2
-          fallback path) until a promoted retrain or recovered residuals
-          lift it.
+          and the predicted-vs-realised residuals; detections surface in
+          :attr:`PeriodicRun.drift_events` and the ``on_drift`` hook.
+          Persistent drift with unhealthy residuals degrades the keeper to
+          Shared (a fallback decision) until a promoted retrain or
+          recovered residuals lift it.
         * ``retrain`` — a :class:`RetrainConfig` arms the replay buffer
           and the guarded retraining flow: candidates are fine-tuned on
           harvested windows, shadow-validated on held-back ones, and
-          promoted or rolled back (``keeper.retrains`` /
-          ``keeper.promotions`` / ``keeper.rollbacks``).
+          promoted or rolled back (:attr:`PeriodicRun.retrain_events`,
+          the ``on_retrain`` hook).
         * ``switch_gap_windows`` / ``switch_margin`` — the switch-rate
           limiter: within ``switch_gap_windows`` windows of the last
           switch a *different* healthy decision is deployed only when
           its fast-model win over the incumbent allocation exceeds
           ``switch_margin`` (relative); otherwise the switch is
-          suppressed (``keeper.suppressed_switches``) and the incumbent
-          stays — hysteresis against allocation thrash.
+          suppressed (:attr:`PeriodicRun.suppressed_switches`) and the
+          incumbent stays — hysteresis against allocation thrash.
         """
         requests = list(requests)
         if not requests:
@@ -479,21 +456,20 @@ class SSDKeeper:
         sim, tap = self._collecting_device(keep=adaptive or bool(self.verify_top_k))
         collector, window_requests = tap.collector, tap.requests
         run = PeriodicRun(result=None, decisions=[])  # result filled after sim.run
-        last_label: str | None = None
         last_strategy: Strategy | None = None
         last_good: Strategy | None = None
-        obs = self.obs
-        # Per-window realised latency: cumulative totals at the previous
-        # adaptation tick, the obs decision record and the decision index
-        # the next delta belongs to, plus adaptive bookkeeping.
+        # Per-window state: cumulative totals at the previous adaptation
+        # tick, the decision record the next window's realised latency
+        # settles, plus adaptive bookkeeping.
         window_state = {
-            "total_us": 0.0, "count": 0, "record": None, "pending": None,
-            "windows": 0, "predicted_us": None, "last_switch": None,
+            "total_us": 0.0, "count": 0, "pending": None,
+            "windows": 0, "last_switch": None,
             "unhealthy": 0, "healthy": 0, "drifted": False, "degraded": False,
         }
 
-        def window_delta_us() -> float | None:
-            """Realised mean latency of the window that just ended."""
+        def settle_window_us() -> float | None:
+            """Realised mean latency of the window that just ended, recorded
+            on the decision awaiting it."""
             reads = sim.acc.op_totals(OpType.READ)
             writes = sim.acc.op_totals(OpType.WRITE)
             total_latency_us = reads.total_us + writes.total_us
@@ -502,95 +478,65 @@ class SSDKeeper:
             delta_n = count - window_state["count"]
             window_state["total_us"] = total_latency_us
             window_state["count"] = count
-            return delta_us / delta_n if delta_n else None
-
-        def settle_window(realised_us: float | None) -> None:
-            """Attribute ``realised_us`` to the decision awaiting it."""
-            record = window_state["record"]
-            if record is not None and realised_us is not None:
-                record.realised_mean_us = realised_us
-            window_state["record"] = None
+            realised_us = delta_us / delta_n if delta_n else None
             pending = window_state["pending"]
             if pending is not None and realised_us is not None:
-                run.realised_us[pending] = realised_us
+                pending.realised_mean_us = realised_us
             window_state["pending"] = None
-
-        def deployed_cost_us(strategy: Strategy, features, window) -> float:
-            sets = strategy.channel_sets(
-                self.config.channels, features.write_dominated()
-            )
-            modes = page_modes_for(self.page_policy, features)
-            replay = fast_simulate(
-                list(window), self.config, sets, modes, faults=self.faults
-            )
-            return replay.mean_total_us
+            return realised_us
 
         def adapt() -> None:
-            nonlocal last_label, last_strategy, last_good
-            realised_us = window_delta_us()
-            settle_window(realised_us)
+            nonlocal last_strategy, last_good
+            realised_us = settle_window_us()
             # relative residual of the strategy deployed over the window
             residual = None
-            predicted_us = window_state["predicted_us"]
+            predicted_us = run.records[-1].predicted_mean_us if run.records else None
             if realised_us is not None and predicted_us:
                 residual = (realised_us - predicted_us) / predicted_us
             if collector.total_observed == 0:
                 window_requests.clear()
                 return
+            now = sim.loop.now
             observed = collector.total_observed
             features = collector.collect()
             collector.reset()
             window = tuple(window_requests)
             window_requests.clear()
 
-            drift_fired = False
             if adaptive:
                 widx = window_state["windows"]
                 window_state["windows"] = widx + 1
                 if buffer is not None and window:
                     buffer.add(ReplayWindow(
-                        time_us=sim.loop.now,
+                        time_us=now,
                         features=features,
-                        deployed=last_label if last_label is not None else "Shared",
+                        deployed=(
+                            last_strategy.label if last_strategy is not None
+                            else "Shared"
+                        ),
                         realised_mean_us=realised_us,
                         requests=window,
                     ))
-                events = detector.update(
-                    sim.loop.now, features.to_array(), residual
-                )
-                drift_fired = bool(events)
-                if drift_fired:
+                events = detector.update(now, features.to_array(), residual)
+                if events:
                     window_state["drifted"] = True
                 run.drift_events.extend(events)
-                if obs is not None:
-                    obs.registry.counter("drift.windows").inc()
-                    for event in events:
-                        obs.registry.counter("drift.detections").inc()
-                        obs.registry.counter(f"drift.{event.kind}_alarms").inc()
-                        obs.trace.emit(
-                            sim.loop.now, "drift_detected", "keeper", "drift",
-                            args=event.to_dict(),
-                        )
-                self._update_degradation(detector.config, window_state, residual, obs)
+                degraded = self._update_degradation(
+                    detector.config, window_state, residual
+                )
+                if self._on_drift is not None:
+                    self._on_drift(now, events, degraded)
                 if governor is not None and governor.due(
-                    widx, drift_fired or window_state["degraded"]
+                    widx, bool(events) or window_state["degraded"]
                 ):
                     event = governor.attempt(
                         self.allocator, buffer,
-                        time_us=sim.loop.now, window_index=widx,
+                        time_us=now, window_index=widx,
                     )
                     if event is not None:
                         run.retrain_events.append(event)
-                        if obs is not None:
-                            obs.registry.counter("keeper.retrains").inc()
-                            obs.registry.counter(
-                                "keeper.promotions" if event.promoted
-                                else "keeper.rollbacks"
-                            ).inc()
-                            obs.trace.emit(
-                                sim.loop.now, "keeper_retrain", "keeper",
-                                "keeper", args=event.to_dict(),
-                            )
+                        if self._on_retrain is not None:
+                            self._on_retrain(now, event)
                         if event.promoted:
                             window_state["degraded"] = False
                             window_state["drifted"] = False
@@ -606,13 +552,6 @@ class SSDKeeper:
                     f"{detector.config.unhealthy_residual:g} for "
                     f"{detector.config.degrade_after} consecutive windows"
                 )
-                if obs is not None:
-                    obs.registry.counter("keeper.fallbacks").inc()
-                    obs.trace.emit(
-                        sim.loop.now, "keeper_fallback", "keeper", "keeper",
-                        args={"strategy": strategy.label,
-                              "reason": fallback_reason},
-                    )
             else:
                 strategy, fallback_reason = self._decide(
                     sim, features, window, last_good
@@ -620,7 +559,8 @@ class SSDKeeper:
                 if fallback_reason is None:
                     last_good = strategy
 
-            switched = strategy.label != last_label
+            switched = last_strategy is None or strategy.label != last_strategy.label
+            suppressed = False
             if (
                 adaptive
                 and switched
@@ -634,58 +574,39 @@ class SSDKeeper:
             ):
                 # Hysteresis: inside the cooldown a different decision only
                 # deploys when its measured fast-model win is large enough.
-                incumbent_us = deployed_cost_us(last_strategy, features, window)
-                challenger_us = deployed_cost_us(strategy, features, window)
+                incumbent_us = self._replay_us(last_strategy, features, window)
+                challenger_us = self._replay_us(strategy, features, window)
                 win = (
                     (incumbent_us - challenger_us) / incumbent_us
                     if incumbent_us > 0 else 0.0
                 )
                 if win < switch_margin:
                     run.suppressed_switches += 1
-                    if obs is not None:
-                        obs.registry.counter("keeper.suppressed_switches").inc()
                     strategy = last_strategy
                     switched = False
+                    suppressed = True
 
-            run.decisions.append((sim.loop.now, features, strategy))
-            run.realised_us.append(None)
-            window_state["pending"] = len(run.decisions) - 1
-            predicted_us = None
-            if adaptive and window:
-                predicted_us = deployed_cost_us(strategy, features, window)
-            window_state["predicted_us"] = predicted_us
-            if obs is not None:
-                record = KeeperDecision(
-                    time_us=sim.loop.now,
-                    features=features,
-                    strategy=strategy.label,
-                    window_requests=observed,
-                    predicted_mean_us=predicted_us,
-                    fallback_reason=fallback_reason,
-                )
-                obs.decisions.append(record)
-                window_state["record"] = record
-                if switched:
-                    obs.registry.counter("keeper.switches").inc()
-                    obs.trace.emit(
-                        sim.loop.now, "keeper_switch", "keeper", "keeper",
-                        args={"strategy": strategy.label,
-                              "features": features.to_array().tolist()},
-                    )
-            if not switched:
-                return  # same allocation: nothing to switch
-            last_label = strategy.label
-            last_strategy = strategy
-            if adaptive:
-                window_state["last_switch"] = window_state["windows"] - 1
-            sim.controller.reallocate(
-                strategy.channel_sets(
-                    self.config.channels, features.write_dominated()
+            record = KeeperDecision(
+                time_us=now,
+                features=features,
+                strategy=strategy.label,
+                window_requests=observed,
+                predicted_mean_us=(
+                    self._replay_us(strategy, features, window)
+                    if adaptive and window else None
                 ),
-                page_modes_for(self.page_policy, features),
+                fallback_reason=fallback_reason,
             )
-            if obs is not None:
-                obs.registry.counter("ftl.reallocations").inc()
+            run.decisions.append((now, features, strategy))
+            run.records.append(record)
+            window_state["pending"] = record
+            if switched:
+                last_strategy = strategy
+                if adaptive:
+                    window_state["last_switch"] = window_state["windows"] - 1
+                self._deploy(sim, strategy, features)
+            if self._on_decision is not None:
+                self._on_decision(now, record, switched, suppressed)
 
         end = horizon_us if horizon_us is not None else max(
             r.arrival_us for r in requests
@@ -697,14 +618,15 @@ class SSDKeeper:
         run.result = sim.run(requests)
         # Tail window: completions after the final adaptation tick would
         # otherwise leave the last decision's realised latency dangling.
-        settle_window(window_delta_us())
+        settle_window_us()
         return run
 
     @staticmethod
     def _update_degradation(
-        config: DriftConfig, window_state: dict, residual, obs
-    ) -> None:
-        """Track unhealthy/healthy residual streaks and flip degradation.
+        config: DriftConfig, window_state: dict, residual
+    ) -> bool:
+        """Track unhealthy/healthy residual streaks and flip degradation;
+        returns whether degradation armed on this window.
 
         Degradation arms after ``degrade_after`` consecutive unhealthy
         windows *following a drift detection* and disarms after the same
@@ -712,7 +634,7 @@ class SSDKeeper:
         caller) — symmetric hysteresis so one noisy window flips nothing.
         """
         if residual is None:
-            return
+            return False
         if residual > config.unhealthy_residual:
             window_state["unhealthy"] += 1
             window_state["healthy"] = 0
@@ -725,14 +647,14 @@ class SSDKeeper:
             and window_state["unhealthy"] >= config.degrade_after
         ):
             window_state["degraded"] = True
-            if obs is not None:
-                obs.registry.counter("keeper.degradations").inc()
-        elif (
+            return True
+        if (
             window_state["degraded"]
             and window_state["healthy"] >= config.degrade_after
         ):
             window_state["degraded"] = False
             window_state["drifted"] = False
+        return False
 
     # ------------------------------------------------------------------
     def run_adaptive(
@@ -787,7 +709,7 @@ class SSDKeeper:
             channel_sets,
             page_modes=modes,
             record_latencies=self.record_latencies,
-            obs=self.sanitizer,
+            obs=self.obs,
             faults=self.faults,
         )
         return sim.run(requests)

@@ -21,9 +21,10 @@ blindly**:
   untouched.
 
 Everything is seeded and free of wall-clock reads, so two runs over the
-same decision stream retrain identically; the keeper owns the
-``keeper.retrains`` / ``keeper.promotions`` / ``keeper.rollbacks``
-counters and logs the returned :class:`RetrainEvent` records.
+same decision stream retrain identically; the keeper records the
+returned :class:`RetrainEvent` and hands it to its probe's
+``on_retrain`` hook (``keeper.retrains`` / ``keeper.promotions`` /
+``keeper.rollbacks`` under :class:`repro.obs.Observability`).
 """
 
 from __future__ import annotations

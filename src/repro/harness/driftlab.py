@@ -12,10 +12,11 @@ device, and reports the two side by side:
   limiter, and degradation to Shared on persistent drift.
 
 Everything is seeded; two invocations with the same arguments produce
-byte-identical reports (the CI ``drift-smoke`` job asserts exactly
-that).  ``--poison`` corrupts every retrained candidate before shadow
-validation, proving the rollback guard: the run must report
-``rollbacks >= 1`` and the live model must keep serving untouched.
+byte-identical reports (``tests/harness/test_driftlab.py`` asserts
+exactly that, across hash seeds).  ``--poison`` corrupts every
+retrained candidate before shadow validation, proving the rollback
+guard: the run must report ``rollbacks >= 1`` and the live model must
+keep serving untouched.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from ..core import (
     StrategySpace,
 )
 from ..ssd.config import SSDConfig
+from ..ssd.probe import probes
 from ..workloads.adversarial import SCENARIOS, build_scenario
 
 __all__ = ["heuristic_allocator", "run_driftlab", "main"]
@@ -81,7 +83,7 @@ def heuristic_allocator(seed: int = 0) -> ChannelAllocator:
     return ChannelAllocator(learner)
 
 
-def _lab_keeper(cfg: SSDConfig, *, obs=None, sanitizer=None) -> SSDKeeper:
+def _lab_keeper(cfg: SSDConfig, obs) -> SSDKeeper:
     return SSDKeeper(
         heuristic_allocator(),
         cfg,
@@ -89,12 +91,11 @@ def _lab_keeper(cfg: SSDConfig, *, obs=None, sanitizer=None) -> SSDKeeper:
         intensity_quantum=_INTENSITY_QUANTUM,
         verify_top_k=3,
         obs=obs,
-        sanitizer=sanitizer,
     )
 
 
 def lab_configs(poison: bool = False) -> tuple[DriftConfig, RetrainConfig]:
-    """The lab's (and CI's) drift/retrain tuning — deliberately twitchy
+    """The lab's (and its tests') drift/retrain tuning — deliberately twitchy
     so short smoke traces still exercise every path."""
     drift = DriftConfig(
         min_windows=2,
@@ -145,15 +146,13 @@ def run_driftlab(
 
     obs = Observability(trace=True)
     adaptive_sanitizer = make_sanitizer()
-    adaptive_keeper = _lab_keeper(cfg, obs=obs, sanitizer=adaptive_sanitizer)
     drift_cfg, retrain_cfg = lab_configs(poison)
-    adaptive = adaptive_keeper.run_adaptive(
+    adaptive = _lab_keeper(cfg, probes(obs, adaptive_sanitizer)).run_adaptive(
         workload.requests, drift=drift_cfg, retrain=retrain_cfg
     )
 
     oneshot_sanitizer = make_sanitizer()
-    oneshot_keeper = _lab_keeper(cfg, sanitizer=oneshot_sanitizer)
-    oneshot = oneshot_keeper.run(workload.requests)
+    oneshot = _lab_keeper(cfg, oneshot_sanitizer).run(workload.requests)
 
     counters = obs.registry.snapshot().get("counters", {})
     report = {

@@ -38,10 +38,10 @@ __all__ = [
 #: those passes ran)
 EXPLAIN_SCHEMA = Schema(
     "explain document",
-    1,
+    2,
     required=(
         "scenario", "quick", "requests", "makespan_us", "total_latency_us",
-        "summary", "critpath", "decisions",
+        "summary", "critpath",
     ),
     optional=("whatif", "sanitizer"),
 )
@@ -66,7 +66,7 @@ def explain_scenario(
     """
     from ..obs import Observability
     from ..obs.critpath import extract_critical_path
-    from ..obs.whatif import explain_decisions, run_whatif
+    from ..obs.whatif import run_whatif
     from ..ssd.probe import probes
     from ..ssd.simulator import simulate
     from .scenarios import load_scenario
@@ -101,7 +101,6 @@ def explain_scenario(
         "total_latency_us": result.total_latency_us,
         "summary": result.summary(),
         "critpath": report.to_dict(),
-        "decisions": explain_decisions(obs.decisions, result.breakdown),
     }
     if whatif:
         wreport = run_whatif(

@@ -4,7 +4,7 @@ Three pillars, bundled by the :class:`Observability` facade:
 
 * **metrics registry** (:mod:`repro.obs.registry`) — counters, gauges,
   fixed-bucket latency histograms (p50/p95/p99), and series that the
-  simulator, FTL, GC, buffer, fast model, keeper, and training loop
+  simulator, FTL, GC, buffer, keeper, and training loop
   publish into;
 * **structured tracing** (:mod:`repro.obs.trace`,
   :mod:`repro.obs.chrometrace`) — ring-buffered event records with JSONL
@@ -27,6 +27,9 @@ Everything is opt-in.  :class:`Observability` is a device
 composed with other subscribers through :func:`~repro.ssd.probe.probes`)
 as its one ``obs=`` argument, and each component arms only the hook sites
 the bundle needs — a disarmed site costs one ``is not None`` branch.
+:class:`~repro.core.keeper.SSDKeeper` takes the same probe; the bundle's
+keeper hooks publish its ``keeper.*``/``drift.*`` counters, trace events
+and :attr:`Observability.decisions` as each decision is made.
 Enable with::
 
     from repro.obs import Observability
@@ -87,7 +90,6 @@ from .whatif import (
     Counterfactual,
     WhatIfReport,
     WhatIfRow,
-    explain_decisions,
     run_whatif,
 )
 
@@ -122,7 +124,6 @@ __all__ = [
     "WhatIfReport",
     "WhatIfRow",
     "run_whatif",
-    "explain_decisions",
     "MetricsRegistry",
     "Counter",
     "Gauge",
@@ -223,7 +224,8 @@ class Observability(Probe):
         self.utilization_interval_us = utilization_interval_us
         #: attached by the arm hook when profiling is enabled
         self.profiler: UtilizationProfiler | None = None
-        #: keeper decision records (:class:`repro.core.keeper.KeeperDecision`)
+        #: keeper decision records (:class:`repro.core.keeper.KeeperDecision`),
+        #: appended by :meth:`on_decision`
         self.decisions: list = []
         #: optional per-request latency attribution sink
         if isinstance(attribution, AttributionCollector):
@@ -437,6 +439,52 @@ class Observability(Probe):
             else "exception"
         )
         self.flight_recorder.dump_once(trigger, detail=str(exc), time_us=now_us)
+
+    # keeper hooks: counters register on their first increment, so a run
+    # reports only the keeper paths it took
+    def on_decision(self, now_us, decision, switched, suppressed) -> None:
+        reg, tr = self.registry, self.trace
+        if decision.fallback_reason is not None:
+            reg.counter("keeper.fallbacks").inc()
+            tr.emit(
+                now_us, "keeper_fallback", "keeper", "keeper",
+                args={"strategy": decision.strategy,
+                      "reason": decision.fallback_reason},
+            )
+        if suppressed:
+            reg.counter("keeper.suppressed_switches").inc()
+        self.decisions.append(decision)
+        if switched:
+            reg.counter("keeper.switches").inc()
+            reg.counter("ftl.reallocations").inc()
+            tr.emit(
+                now_us, "keeper_switch", "keeper", "keeper",
+                args={
+                    "strategy": decision.strategy,
+                    "features": decision.features.to_array().tolist(),
+                    "predicted_mean_us": decision.predicted_mean_us,
+                },
+            )
+
+    def on_drift(self, now_us, events, degraded) -> None:
+        reg = self.registry
+        reg.counter("drift.windows").inc()
+        for event in events:
+            reg.counter("drift.detections").inc()
+            reg.counter(f"drift.{event.kind}_alarms").inc()
+            self.trace.emit(
+                now_us, "drift_detected", "keeper", "drift", args=event.to_dict()
+            )
+        if degraded:
+            reg.counter("keeper.degradations").inc()
+
+    def on_retrain(self, now_us, event) -> None:
+        reg = self.registry
+        reg.counter("keeper.retrains").inc()
+        reg.counter("keeper.promotions" if event.promoted else "keeper.rollbacks").inc()
+        self.trace.emit(
+            now_us, "keeper_retrain", "keeper", "keeper", args=event.to_dict()
+        )
 
     # ------------------------------------------------------------------
     def write_chrome_trace(self, path) -> int:

@@ -398,27 +398,19 @@ _RUN_METRICS = (
 )
 
 
-def _reset(requests) -> None:
-    # completion stamps are the only state a run leaves on the trace
-    for request in requests:
-        request.complete_us = -1.0
-
-
 def _observed_run(requests, cfg, sets, faults, trace_capacity: int):
     """One fully-observed simulation: result, event dicts, critpath doc."""
-    from ..ssd.simulator import simulate  # lazy: obs must not import ssd at module load
     from . import Observability
     from .attribution import AttributionCollector
     from .critpath import extract_critical_path
     from .trace import TraceRecorder
+    from .whatif import resimulate
 
     recorder = TraceRecorder(capacity=trace_capacity)
     collector = AttributionCollector()
     observed = Observability(trace=recorder, attribution=collector)
-    _reset(requests)
-    result = simulate(
-        requests, cfg, sets, record_latencies=True, obs=observed,
-        faults=faults,
+    result = resimulate(
+        requests, cfg, sets, faults, record_latencies=True, obs=observed,
     )
     if recorder.evicted:
         raise DiffError(
@@ -430,7 +422,6 @@ def _observed_run(requests, cfg, sets, faults, trace_capacity: int):
         collector.records, result.makespan_us
     ).to_dict()
     events = [event.to_dict() for event in recorder.events()]
-    _reset(requests)
     return result, events, critpath
 
 
@@ -460,14 +451,6 @@ def diff_run(
     (per-resource on-path shifts between the two runs' bottleneck
     reports).
     """
-    from ..ssd.faults import FaultInjector  # lazy, cycle guard
-
-    if isinstance(faults, FaultInjector):
-        raise TypeError(
-            "pass the FaultConfig, not a FaultInjector: an injector is "
-            "stateful and would give each re-simulation a different "
-            "fault sequence"
-        )
     if cfg_b is None:
         cfg_b = cfg_a
     if sets_b is None:

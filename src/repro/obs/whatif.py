@@ -17,13 +17,6 @@ doubling ``gc_threshold`` past the restore watermark's legal range on
 an aggressive config) are reported as ``inapplicable`` rather than
 failing the sweep.
 
-The module also hosts the **keeper-decision explainer**: each
-:class:`~repro.core.keeper.KeeperDecision` carries the predicted and
-realised mean latency of its decision window; :func:`explain_decisions`
-attributes the gap between them to attribution phases in proportion to
-the run's realised phase mix, so "the model was 80us optimistic" comes
-with "and the optimism is mostly unmodelled GC stalls".
-
 Like the rest of ``repro.obs``, nothing here touches a live run: the
 engine only *launches* fresh simulations from plain inputs (requests,
 config, channel sets, an optional stateless
@@ -42,7 +35,7 @@ __all__ = [
     "WhatIfRow",
     "WhatIfReport",
     "run_whatif",
-    "explain_decisions",
+    "resimulate",
 ]
 
 #: WhatIfReport.to_dict
@@ -267,12 +260,29 @@ def _reset(requests) -> None:
         request.complete_us = -1.0
 
 
-def _simulate(requests, cfg, sets, faults):
-    from ..ssd.simulator import simulate  # lazy: obs must not import ssd at module load
+def resimulate(requests, cfg, sets, faults=None, **kwargs):
+    """One exact re-simulation of ``requests``, leaving them unstamped.
 
+    ``faults`` must be a stateless :class:`~repro.ssd.faults.FaultConfig`
+    so every re-simulation draws the identical fault sequence; a used
+    :class:`~repro.ssd.faults.FaultInjector` raises ``TypeError``.
+    ``kwargs`` go to :func:`repro.ssd.simulator.simulate`.
+    """
+    # lazy: obs must not import ssd at module load
+    from ..ssd.faults import FaultInjector
+    from ..ssd.simulator import simulate
+
+    if isinstance(faults, FaultInjector):
+        raise TypeError(
+            "pass the FaultConfig, not a FaultInjector: an injector is "
+            "stateful and would give each re-simulation a different "
+            "fault sequence"
+        )
     _reset(requests)
-    result = simulate(requests, cfg, sets, faults=faults)
-    return result
+    try:
+        return simulate(requests, cfg, sets, faults=faults, **kwargs)
+    finally:
+        _reset(requests)
 
 
 def _metrics(result) -> tuple[float, float, float, float]:
@@ -309,18 +319,10 @@ def run_whatif(
     failed re-verification means the simulator lost determinism, which
     would silently invalidate the whole table.
     """
-    from ..ssd.faults import FaultInjector  # lazy, cycle guard
-
-    if isinstance(faults, FaultInjector):
-        raise TypeError(
-            "pass the FaultConfig, not a FaultInjector: an injector is "
-            "stateful and would give each re-simulation a different "
-            "fault sequence"
-        )
     if counterfactuals is None:
         counterfactuals = DEFAULT_COUNTERFACTUALS
     if baseline is None:
-        baseline = _simulate(requests, cfg, sets, faults)
+        baseline = resimulate(requests, cfg, sets, faults)
     base_total_us, base_makespan_us, base_read_us, base_write_us = _metrics(
         baseline
     )
@@ -336,7 +338,7 @@ def run_whatif(
                           note=str(exc))
             )
             continue
-        metrics = _metrics(_simulate(requests, cf_cfg, cf_sets, faults))
+        metrics = _metrics(resimulate(requests, cf_cfg, cf_sets, faults))
         results[cf.name] = metrics
         total_us, makespan_us, read_us, write_us = metrics
         rows.append(
@@ -368,7 +370,7 @@ def run_whatif(
         if best is not None:
             by_name = {cf.name: cf for cf in counterfactuals}
             cf_cfg, cf_sets = by_name[best.name].apply(cfg, sets)
-            rerun = _metrics(_simulate(requests, cf_cfg, cf_sets, faults))
+            rerun = _metrics(resimulate(requests, cf_cfg, cf_sets, faults))
             if rerun != results[best.name]:
                 raise RuntimeError(
                     f"counterfactual {best.name!r} is not reproducible: "
@@ -376,50 +378,4 @@ def run_whatif(
                     "the simulator lost determinism"
                 )
             best.verified = True
-    # don't leave the last counterfactual's completion stamps on the
-    # shared request objects
-    _reset(requests)
     return report
-
-
-# ----------------------------------------------------------------------
-def explain_decisions(decisions, breakdown) -> list[dict]:
-    """Attribute each keeper decision's predicted-vs-realised gap to phases.
-
-    ``decisions`` is the run's ``obs.decisions`` list
-    (:class:`~repro.core.keeper.KeeperDecision`); ``breakdown`` the run's
-    :class:`~repro.obs.attribution.LatencyBreakdown` (may be ``None`` —
-    the gap is then reported without a phase split).  The split is
-    proportional to the realised phase mix: the keeper's feature model
-    has no phase-level view, so the best available explanation of its
-    optimism/pessimism is *where the realised latency actually went*.
-    """
-    fractions = breakdown.phase_fractions() if breakdown is not None else None
-    out: list[dict] = []
-    for decision in decisions:
-        predicted_us = decision.predicted_mean_us
-        realised_us = decision.realised_mean_us
-        entry = {
-            "time_us": decision.time_us,
-            "strategy": decision.strategy,
-            "window_requests": decision.window_requests,
-            "predicted_mean_us": predicted_us,
-            "realised_mean_us": realised_us,
-        }
-        if decision.fallback_reason:
-            entry["fallback_reason"] = decision.fallback_reason
-        if predicted_us is None or realised_us is None:
-            # fallback decisions carry no prediction; the last window of
-            # a run may never see its realised mean
-            entry["gap_us"] = None
-        else:
-            gap_us = realised_us - predicted_us
-            entry["gap_us"] = gap_us
-            if fractions is not None:
-                entry["gap_by_phase_us"] = {
-                    name: gap_us * fraction
-                    for name, fraction in fractions.items()
-                    if fraction != 0.0
-                }
-        out.append(entry)
-    return out

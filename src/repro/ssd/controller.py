@@ -184,9 +184,13 @@ class FTLController:
             block = plane.next_program_block()
             if not self.faults.program_fails(channel, plane.erase_count[block]):
                 return self.state.write(glpn, plane), plane
-            work.append(self._retire_program_block(plane, block, work))
+            retired = self._retire_program_block(plane, block, work)
             attempts += 1
-            if attempts >= _MAX_PROGRAM_ATTEMPTS or not plane.has_free_page():
+            if (
+                not retired
+                or attempts >= _MAX_PROGRAM_ATTEMPTS
+                or not plane.has_free_page()
+            ):
                 plane_index, plane = self._fallback_plane(workload_id, plane_index)
                 # Final dispatch is not re-drawn: the failure budget for this
                 # page is spent, and unbounded re-draws could starve a write.
@@ -194,9 +198,20 @@ class FTLController:
 
     def _retire_program_block(
         self, plane: PlaneState, block: int, work: list
-    ) -> FaultWorkItem:
-        """Retire ``block`` after a program failure; relocate its valid data."""
+    ) -> bool:
+        """Retire ``block`` after a program failure; relocate its valid data.
+
+        Appends the retirement's work item to ``work`` and returns ``True``;
+        returns ``False`` (nothing retired) when the plane cannot spare a
+        block to replace its failing active block.
+        """
         assert self.faults is not None  # only reached from the faulted path
+        if block == plane.active_block and plane.free_blocks == 0:
+            # Need a replacement active block before we can retire this one;
+            # GC's copies may fill and seal the failing block meanwhile.
+            work.extend(self.gc.collect(plane))
+            if block != plane.active_block or plane.free_blocks == 0:
+                return False
         if block != plane.active_block:
             # The failure hit the head of the free pool (active was full):
             # the block is erased and empty — retire it outright.
@@ -204,12 +219,10 @@ class FTLController:
             self.faults.note_retirement(plane.pages_per_block)
             if self._after_retire is not None:
                 self._after_retire(self.state, plane, block)
-            return FaultWorkItem(plane.plane_index, block, 0)
-        if plane.free_blocks == 0:
-            # Need a replacement active block before we can retire this one.
-            work.extend(self.gc.collect(plane))
+            work.append(FaultWorkItem(plane.plane_index, block, 0))
+            return True
         programmed = plane.next_page
-        plane.begin_retire_active()  # raises if the plane is out of spares
+        plane.begin_retire_active()
         mapping = self.state.mapping
         moves = 0
         for ppn in plane.pages_in_block(block):
@@ -225,7 +238,8 @@ class FTLController:
         self.faults.note_retirement(plane.pages_per_block)
         if self._after_retire is not None:
             self._after_retire(self.state, plane, block)
-        return FaultWorkItem(plane.plane_index, block, moves)
+        work.append(FaultWorkItem(plane.plane_index, block, moves))
+        return True
 
     def resolve_read(self, workload_id: int, lpn: int) -> int:
         """Physical location of a read; pre-seeds cold data at zero time cost.

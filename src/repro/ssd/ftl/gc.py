@@ -103,11 +103,16 @@ class GarbageCollector:
         return self.collect(plane)
 
     def collect(self, plane: PlaneState) -> list[GCWorkItem]:
-        """Reclaim blocks until the restore level (or no progress)."""
+        """Reclaim blocks until the restore level (or no progress).
+
+        Stops, too, when the cheapest victim's valid pages do not fit in
+        the plane's free pages: copying them would run out of room midway
+        (a plane shrunk by retired blocks can get there).
+        """
         items: list[GCWorkItem] = []
         while plane.free_blocks < self.state.gc_restore_blocks:
             victim = self.pick_victim(plane)
-            if victim is None:
+            if victim is None or plane.valid_count[victim] > plane.free_pages:
                 break
             items.append(self._reclaim(plane, victim))
         return items

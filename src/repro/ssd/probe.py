@@ -3,9 +3,10 @@
 Every component of a simulated device — event loop, channel and die
 resources, mapping table, GC, FTL controller, simulator — reports what it
 does to one *probe*: an object with the hook methods of :class:`Probe`.
-Observability, the runtime sanitizer, the keeper's features collector and
-the fleet's completion counter are all probes; :func:`probes` composes
-several into one.
+The keeper (Algorithm 2) driving a device reports its decisions, drift
+checks and retrains to the same probe.  Observability, the runtime
+sanitizer, the keeper's features collector and the fleet's completion
+counter are all probes; :func:`probes` composes several into one.
 
 Hooks are armed per site: a component asks :func:`hook` for each of its
 sites once, when the probe is attached, and keeps the answer — the one
@@ -80,6 +81,18 @@ class Probe:
         """``sim`` drained and assembled ``result``, which may be completed."""
     def on_trap(self, exc, now_us) -> None:
         """The run aborted with ``exc``."""
+
+    # -- keeper (Algorithm 2) --
+    def on_decision(self, now_us, decision, switched, suppressed) -> None:
+        """The keeper decided ``decision`` (a ``KeeperDecision``, whose
+        ``realised_mean_us`` settles later); ``switched``: the FTL was
+        reallocated; ``suppressed``: the switch-rate limiter kept the
+        incumbent."""
+    def on_drift(self, now_us, events, degraded) -> None:
+        """An adaptive window passed the drift detector, firing ``events``
+        (``degraded``: the keeper degraded to Shared on this window)."""
+    def on_retrain(self, now_us, event) -> None:
+        """A guarded retrain finished with ``event`` (promoted or rolled back)."""
 
 
 class _FanOut:

@@ -1,6 +1,6 @@
-"""R003 golden fixture: an unguarded observability call in simulation code."""
+"""R003 golden fixture: an unguarded probe call in simulation code."""
 # repro-lint: module=repro.core.fixture
 
 
-def publish(obs, value):
-    obs.counter("requests", value)
+def publish(probe, value):
+    probe.counter("requests", value)

@@ -1,11 +1,17 @@
 """The drift lab: adaptive-vs-one-shot reports and the ``repro drift`` CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.harness.cli import main
 from repro.harness.driftlab import run_driftlab
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +52,15 @@ class TestRunDriftlab:
         assert set(report["sanitizer"]) == {"adaptive", "oneshot"}
         assert report["sanitizer"]["adaptive"]
 
+    def test_sanitizer_checks_ran_on_each_device_run(self, report):
+        # A tripped invariant raises, so completion means zero trips; the
+        # event and grant checks must also have run on both device runs
+        # (conservation checks only tick when GC fires, which the quick
+        # trace avoids).
+        for run, stats in report["sanitizer"].items():
+            assert stats["events_checked"] > 0, (run, stats)
+            assert stats["grants_checked"] > 0, (run, stats)
+
     def test_deterministic_report(self, report):
         again = run_driftlab("migrating_hotspot", quick=True, sanitize=True)
         assert json.dumps(report, sort_keys=True) == json.dumps(
@@ -78,6 +93,21 @@ class TestDriftCli:
         on_disk = json.loads(path.read_text())
         assert printed == on_disk
         assert printed["scenario"] == "migrating_hotspot"
+
+    def test_report_file_is_byte_identical_across_hash_seeds(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        reports = []
+        for hash_seed in ("1", "2"):
+            path = tmp_path / f"drift-{hash_seed}.json"
+            subprocess.run(
+                [sys.executable, "-m", "repro", "drift", "--quick",
+                 "--sanitize", "--out", str(path)],
+                check=True, capture_output=True, cwd=tmp_path,
+                env={**env, "PYTHONHASHSEED": hash_seed},
+            )
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_unknown_scenario_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit):

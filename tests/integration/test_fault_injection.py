@@ -13,6 +13,7 @@ The three acceptance properties of the fault subsystem:
 import numpy as np
 import pytest
 
+from repro.analysis import Sanitizer
 from repro.core import (
     ChannelAllocator,
     Dataset,
@@ -23,7 +24,7 @@ from repro.core import (
 )
 from repro.core.strategies import StrategyKind
 from repro.obs import Observability
-from repro.ssd import FaultConfig, SSDConfig, SSDSimulator
+from repro.ssd import FaultConfig, SSDConfig, SSDSimulator, simulate
 from repro.workloads import WorkloadSpec, synthesize_mix
 
 
@@ -213,6 +214,31 @@ class TestFailedReads:
         assert result.requests == 800
         assert result.read.count + result.write.count + result.failed_reads == 800
         assert "failed reads" in result.summary()
+
+
+class TestShrunkPlanes:
+    """Program failures retire blocks until a plane can neither copy its
+    cheapest GC victim out nor spare a block to replace a failing active
+    block; writes then move to another plane instead of aborting the run."""
+
+    def test_every_seed_completes_with_sanitizer(self):
+        config = SSDConfig.small(blocks_per_plane=4).replace(pages_per_block=16)
+        sets = {0: [0, 1, 2], 1: [2, 3, 4, 5], 2: [5, 6, 7]}
+        specs = [
+            WorkloadSpec(name=f"t{i}", write_ratio=0.7, rate_rps=800 / 0.06,
+                         footprint_pages=250)
+            for i in range(3)
+        ]
+        retired = 0
+        for seed in range(40):
+            requests = synthesize_mix(specs, total_requests=2400, seed=0).requests
+            sanitizer = Sanitizer()
+            faults = FaultConfig(seed=seed, program_fail_rate=0.01)
+            result = simulate(requests, config, sets, obs=sanitizer, faults=faults)
+            assert result.requests == len(requests), seed
+            assert sanitizer.stats()["conservation_checks"] > 0, seed
+            retired += result.extras["faults"]["retired_blocks"]
+        assert retired > 0
 
 
 class TestKeeperDegradation:

@@ -8,7 +8,6 @@ from repro.obs.whatif import (
     Counterfactual,
     WhatIfReport,
     WhatIfRow,
-    explain_decisions,
     run_whatif,
 )
 from repro.ssd.config import KNOBS, SSDConfig
@@ -193,46 +192,6 @@ class TestRunWhatif:
         assert doc["baseline"]["total_latency_us"] > 0
         assert doc["counterfactuals"][0]["name"] == "tR_half"
         assert "speedup" in doc["counterfactuals"][0]
-
-
-class FakeDecision:
-    def __init__(self, predicted_us, realised_us, fallback=None):
-        self.time_us = 1000.0
-        self.strategy = "RR4"
-        self.window_requests = 50
-        self.predicted_mean_us = predicted_us
-        self.realised_mean_us = realised_us
-        self.fallback_reason = fallback
-
-
-class FakeBreakdown:
-    def phase_fractions(self):
-        return {"die_us": 0.75, "gc_stall_us": 0.25, "bus_us": 0.0}
-
-
-class TestExplainDecisions:
-    def test_gap_split_by_phase_fractions(self):
-        out = explain_decisions([FakeDecision(100.0, 180.0)], FakeBreakdown())
-        assert out[0]["gap_us"] == pytest.approx(80.0)
-        assert out[0]["gap_by_phase_us"]["die_us"] == pytest.approx(60.0)
-        assert out[0]["gap_by_phase_us"]["gc_stall_us"] == pytest.approx(20.0)
-        assert "bus_us" not in out[0]["gap_by_phase_us"]
-
-    def test_missing_prediction_yields_none_gap(self):
-        out = explain_decisions(
-            [FakeDecision(None, 180.0, fallback="unhealthy")], FakeBreakdown()
-        )
-        assert out[0]["gap_us"] is None
-        assert out[0]["fallback_reason"] == "unhealthy"
-        assert "gap_by_phase_us" not in out[0]
-
-    def test_no_breakdown_still_reports_gap(self):
-        out = explain_decisions([FakeDecision(100.0, 120.0)], None)
-        assert out[0]["gap_us"] == pytest.approx(20.0)
-        assert "gap_by_phase_us" not in out[0]
-
-    def test_empty_decisions(self):
-        assert explain_decisions([], FakeBreakdown()) == []
 
 
 class TestReportFormat:

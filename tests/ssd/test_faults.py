@@ -236,6 +236,22 @@ class TestEraseFailureRetirement:
         assert not (retired & plane.sealed_blocks())
 
 
+class TestShrunkPlaneGC:
+    def test_collect_stops_when_victim_does_not_fit(self):
+        """Copying a victim with more valid pages than the plane has free
+        would run out of room midway: GC leaves the plane untouched."""
+        state = make_state(blocks=4, pages=4)
+        plane = state.planes[0]
+        for lpn in (*range(12), 0, 12, 13):  # one overwrite, two new pages
+            state.write(lpn, plane)
+        gc = GarbageCollector(state)
+        victim = gc.pick_victim(plane)
+        assert plane.valid_count[victim] == 3 > plane.free_pages == 1
+        assert gc.collect(plane) == []
+        assert plane.free_pages == 1 and gc.pages_moved == 0
+        plane.check_invariants()
+
+
 class TestWorkItemTiming:
     def test_die_us_duck_typing(self, small_config):
         t = ServiceTimes.from_config(small_config)

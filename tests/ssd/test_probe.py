@@ -1,11 +1,15 @@
-"""The device probe contract: per-site arming, fan-out order, completeness."""
+"""The probe contract: per-site arming, fan-out order, completeness, and
+the keeper hooks."""
 
 import json
 
 from repro.analysis import Sanitizer
+from repro.core import SSDKeeper
+from repro.core import keeper as keeper_module
+from repro.harness.driftlab import heuristic_allocator, lab_configs
 from repro.obs import Observability
 from repro.ssd import FaultConfig, Probe, SSDConfig, SSDSimulator, probes, simulate
-from repro.workloads import WorkloadSpec, synthesize_mix
+from repro.workloads import WorkloadSpec, build_scenario, synthesize_mix
 
 
 def faulted_gc_scenario():
@@ -138,3 +142,86 @@ class TestComposition:
         [bundle] = obs.flight_recorder.bundles
         manifest = json.loads((bundle / "manifest.json").read_text())
         assert "sanitizer_events.json" in manifest["bundle_files"]
+
+
+def lab_keeper(obs=None):
+    """The drift lab's keeper: four tenants on the small device."""
+    return SSDKeeper(
+        heuristic_allocator(), SSDConfig.small(),
+        collect_window_us=10_000.0, intensity_quantum=50.0, obs=obs,
+    )
+
+
+def hotspot_requests():
+    return build_scenario(
+        "migrating_hotspot", seed=0, phases=4, phase_us=25_000.0
+    ).requests
+
+
+class Decisions(Probe):
+    def __init__(self):
+        self.calls = []
+
+    def on_decision(self, now_us, decision, switched, suppressed):
+        self.calls.append((now_us, decision, switched, suppressed))
+
+
+class TestKeeperHooks:
+    def test_sanitizer_arms_no_keeper_site_and_replays_nothing(self, monkeypatch):
+        replays = []
+        real = keeper_module.fast_simulate
+
+        def counting(*args, **kwargs):
+            replays.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(keeper_module, "fast_simulate", counting)
+        keeper = lab_keeper(obs=Sanitizer())
+        assert keeper._on_decision is None
+        assert keeper._on_drift is None and keeper._on_retrain is None
+        run = keeper.run(hotspot_requests())
+        assert run.switched and replays == []
+        # the prediction replay runs behind the armed decision site only
+        lab_keeper(obs=Decisions()).run(hotspot_requests())
+        assert replays == [1]
+
+    def test_one_decision_hook_per_periodic_decision(self):
+        probe = Decisions()
+        run = lab_keeper(obs=probe).run_periodic(hotspot_requests())
+        assert len(probe.calls) == len(run.decisions) > 1
+        for (now_us, record, _, _), (t_us, _, strategy) in zip(
+            probe.calls, run.decisions
+        ):
+            assert now_us == record.time_us == t_us
+            assert record.strategy == strategy.label
+        assert [c[1] for c in probe.calls] == run.records
+        realised = [record.realised_mean_us for _, record, _, _ in probe.calls]
+        assert realised == run.realised_us
+        assert any(v is not None for v in realised)
+        assert probe.calls[0][2]  # the first decision leaves Shared
+        assert not any(c[3] for c in probe.calls)  # no limiter unless adaptive
+
+    def test_armed_and_unarmed_adaptive_runs_decide_alike(self):
+        drift, retrain = lab_configs()
+
+        def behaviour(obs):
+            run = lab_keeper(obs).run_adaptive(
+                hotspot_requests(), drift=drift, retrain=retrain
+            )
+            return {
+                "decisions": [(t, s.label) for t, _, s in run.decisions],
+                "realised_us": run.realised_us,
+                "drift": [e.to_dict() for e in run.drift_events],
+                "retrain": [e.to_dict() for e in run.retrain_events],
+                "suppressed": run.suppressed_switches,
+                "degraded": run.degraded_windows,
+            }
+
+        obs = Observability()
+        armed = behaviour(obs)
+        assert armed == behaviour(None)
+        assert armed["drift"] and armed["retrain"]
+        counters = obs.registry.snapshot()["counters"]
+        assert counters["drift.detections"] == len(armed["drift"])
+        assert counters["keeper.retrains"] == len(armed["retrain"])
+        assert len(obs.decisions) == len(armed["decisions"])
